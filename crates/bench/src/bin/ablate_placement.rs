@@ -1,4 +1,4 @@
-//! E7 — parameter-aggregation-plane ablation: constraint-aware placement
+//! E10 — parameter-aggregation-plane ablation: constraint-aware placement
 //! and component parameter queries with the plane on and off
 //! (DESIGN.md §9).
 //!

@@ -26,12 +26,6 @@
 //!   cargo run --release -p jsym-bench --bin swarm -- --quick  # 64 nodes / 2k objects
 //!   (knobs: --nodes N --objects N --ops N --drivers N --executor N
 //!           --scale S --seed N)
-//!
-//! `--legacy-contention` reverts every PR 10 hot-path layout (single-stripe
-//! delivery-plane state, endpoint cache off, global-injector executor) for a
-//! contention baseline. `--compare-contention` runs the storm twice — legacy
-//! layout first, then the striped default — writes both rows into
-//! `swarm.json` and prints the measured speedup.
 
 use jsym_bench::write_json;
 use jsym_core::obs::HistogramSnapshot;
@@ -74,9 +68,6 @@ struct Config {
     time_scale: f64,
     seed: u64,
     quick: bool,
-    /// Revert the PR 10 hot-path layouts (stripes, endpoint cache, striped
-    /// injector) to their legacy single-lock forms.
-    legacy_contention: bool,
 }
 
 impl Config {
@@ -90,7 +81,6 @@ impl Config {
             time_scale: 1e-6,
             seed: 2000,
             quick: false,
-            legacy_contention: false,
         }
     }
 
@@ -104,7 +94,6 @@ impl Config {
             time_scale: 1e-5,
             seed: 2000,
             quick: true,
-            legacy_contention: false,
         }
     }
 }
@@ -134,9 +123,6 @@ struct Report {
     /// OS / arch / CPU count the row was measured on — rows are only
     /// comparable within one machine string.
     machine: String,
-    /// True when the run reverted the PR 10 hot paths to their legacy
-    /// single-lock layouts (`--legacy-contention`).
-    legacy_contention: bool,
     nodes: usize,
     objects: usize,
     drivers: usize,
@@ -176,8 +162,6 @@ struct Report {
     exec_wakes_targeted: u64,
     /// Wakes escalated past the stripe owner (owner busy, or backlog).
     exec_wakes_escalated: u64,
-    /// Effective delivery-plane stripe count.
-    net_state_shards: usize,
     /// Contended stripe acquisitions: pair state / batching / gap windows.
     net_pair_contended: u64,
     net_pending_contended: u64,
@@ -325,37 +309,22 @@ fn inject_partitions(d: &Deployment, cfg: &Config, home: NodeId, finished: &Atom
 /// Boots, runs the three phases under `cfg` and returns the report row.
 fn run_once(cfg: &Config) -> Report {
     eprintln!(
-        "swarm: {} nodes / {} objects on a {}-worker executor, {} drivers x {} ops{}",
-        cfg.nodes,
-        cfg.objects,
-        cfg.executor,
-        cfg.drivers,
-        cfg.ops,
-        if cfg.legacy_contention {
-            " [legacy contention layout]"
-        } else {
-            ""
-        }
+        "swarm: {} nodes / {} objects on a {}-worker executor, {} drivers x {} ops",
+        cfg.nodes, cfg.objects, cfg.executor, cfg.drivers, cfg.ops
     );
 
     let t0 = Instant::now();
     // NA monitoring and failure detection are quiesced (far-future periods):
     // at this scale the counters should reflect application traffic, and the
     // partitions injected below must not trigger failure handling.
-    let mut shell = JsShell::new()
+    let d = JsShell::new()
         .add_machines((0..cfg.nodes).map(|i| MachineConfig::idle(&format!("sw{i}"), 50.0)))
         .time_scale(cfg.time_scale)
         .monitor_period(1e9)
         .failure_timeout(1e9)
         .cost_model(CostModel::free())
-        .executor(cfg.executor);
-    if cfg.legacy_contention {
-        shell = shell
-            .net_state_shards(1)
-            .net_endpoint_cache(false)
-            .executor_legacy_injector(true);
-    }
-    let d = shell.boot();
+        .executor(cfg.executor)
+        .boot();
     register_test_classes(&d);
     let reg = d.register_app().expect("register app");
     let home = d.machines()[0];
@@ -450,7 +419,6 @@ fn run_once(cfg: &Config) -> Report {
     }
     let report = Report {
         machine: machine_note(),
-        legacy_contention: cfg.legacy_contention,
         nodes: cfg.nodes,
         objects: cfg.objects,
         drivers: cfg.drivers,
@@ -492,7 +460,6 @@ fn run_once(cfg: &Config) -> Report {
         exec_blocked_at_end: exec.blocked,
         exec_wakes_targeted: exec.wakes_targeted,
         exec_wakes_escalated: exec.wakes_escalated,
-        net_state_shards: hot.state_shards,
         net_pair_contended: hot.pair_contended,
         net_pending_contended: hot.pending_contended,
         net_gaps_contended: hot.gaps_contended,
@@ -580,29 +547,7 @@ fn main() {
     if let Some(v) = parse_flag::<u64>(&args, "--seed") {
         cfg.seed = v;
     }
-    cfg.legacy_contention = args.iter().any(|a| a == "--legacy-contention");
-
-    let rows = if args.iter().any(|a| a == "--compare-contention") {
-        // Same storm twice on the same machine: legacy single-lock layouts
-        // first, then the striped default, with the speedup printed.
-        let legacy = run_once(&Config {
-            legacy_contention: true,
-            ..cfg
-        });
-        let striped = run_once(&Config {
-            legacy_contention: false,
-            ..cfg
-        });
-        eprintln!(
-            "contention speedup: {:.2}x ({:.0} vs {:.0} ops/s legacy)",
-            striped.ops_per_s / legacy.ops_per_s.max(1e-9),
-            striped.ops_per_s,
-            legacy.ops_per_s
-        );
-        vec![legacy, striped]
-    } else {
-        vec![run_once(&cfg)]
-    };
+    let rows = vec![run_once(&cfg)];
     match write_json("swarm", &rows) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write results: {e}"),

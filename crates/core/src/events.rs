@@ -4,8 +4,9 @@
 //! system; this log gives it (and tests, and downstream users) a time-stamped
 //! record of the runtime's *structural* events — object lifecycle, migration,
 //! classloading, persistence, failures and recovery. Per-invocation traffic
-//! is deliberately not logged (it is counted in [`crate::NodeStats`]); the
-//! log captures the events one would grep for when debugging placement.
+//! is deliberately not logged (it is counted in [`crate::NodeStats`]), bar
+//! the one-sided calls that fail with nobody to tell; the log captures the
+//! events one would grep for when debugging placement.
 
 use crate::ids::ObjectId;
 use jsym_net::{NodeId, VirtTime};
@@ -86,6 +87,17 @@ pub enum RuntimeEvent {
         /// Number of objects moved.
         migrated: usize,
     },
+    /// A one-sided invocation failed; it has no caller to report to.
+    OnewayLost {
+        /// The addressed object.
+        obj: ObjectId,
+        /// The node the call arrived on.
+        node: NodeId,
+        /// The method called.
+        method: String,
+        /// Why it was lost.
+        error: String,
+    },
 }
 
 impl RuntimeEvent {
@@ -101,6 +113,7 @@ impl RuntimeEvent {
             RuntimeEvent::NodeFailed { .. } => "event.node_failed",
             RuntimeEvent::Recovered { .. } => "event.recovered",
             RuntimeEvent::AutoMigrationRound { .. } => "event.automigration_round",
+            RuntimeEvent::OnewayLost { .. } => "event.oneway_lost",
         }
     }
 
@@ -111,6 +124,7 @@ impl RuntimeEvent {
             | RuntimeEvent::ObjectFreed { node, .. }
             | RuntimeEvent::ArtifactLoaded { node, .. }
             | RuntimeEvent::ObjectRestored { node, .. }
+            | RuntimeEvent::OnewayLost { node, .. }
             | RuntimeEvent::NodeFailed { node } => Some(*node),
             RuntimeEvent::Migrated { from, .. } => Some(*from),
             RuntimeEvent::Recovered { to, .. } => Some(*to),
@@ -146,6 +160,12 @@ impl fmt::Display for RuntimeEvent {
             RuntimeEvent::AutoMigrationRound { migrated } => {
                 write!(f, "auto-migration moved {migrated} object(s)")
             }
+            RuntimeEvent::OnewayLost {
+                obj,
+                node,
+                method,
+                error,
+            } => write!(f, "one-sided {method} on {obj} lost on {node}: {error}"),
         }
     }
 }

@@ -73,8 +73,8 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
             method,
             args,
         } => {
-            // Affinity plane: every delivered invocation — mailbox, hook and
-            // loopback paths all funnel through here — feeds the decayed
+            // Affinity plane: every delivered invocation — mailbox and hook
+            // paths both funnel through here — feeds the decayed
             // caller→object counters. Same-node traffic reinforces the
             // current placement, which is exactly the hysteresis we want.
             if shared.affinity.enabled() {
@@ -96,17 +96,18 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
                         shared,
                         Box::new(move || {
                             let result = execute(&sh, obj, method, &args);
-                            if let Some(to) = reply_to {
-                                sh.send_reply(to, req, result);
+                            match (reply_to, result) {
+                                (Some(to), result) => sh.send_reply(to, req, result),
+                                (None, Err(e)) => oneway_lost(&sh, obj, method, e),
+                                (None, Ok(_)) => {}
                             }
                         }),
                     );
                 }
-                None => {
-                    if let Some(to) = reply_to {
-                        shared.send_reply(to, req, Err(JsError::ObjectMoved(obj)));
-                    }
-                }
+                None => match reply_to {
+                    Some(to) => shared.send_reply(to, req, Err(JsError::ObjectMoved(obj))),
+                    None => oneway_lost(shared, obj, method, JsError::ObjectMoved(obj)),
+                },
             }
         }
         Msg::MigrateRequest {
@@ -283,6 +284,31 @@ fn execute_static(
     let out = guard.invoke(method.as_str(), args, &mut ctx);
     shared.stats.invocations.fetch_add(1, Ordering::Relaxed);
     out
+}
+
+/// A one-sided call that failed: there is no caller to tell, so it is counted
+/// (`rmi.oneway_lost`: `gone` when the object was not here to run it,
+/// `failed` when its method returned the error) and logged.
+fn oneway_lost(shared: &NodeShared, obj: ObjectId, method: Sym, error: JsError) {
+    if shared.obs.is_enabled() {
+        let why = match error {
+            JsError::ObjectMoved(o) if o == obj => "gone",
+            _ => "failed",
+        };
+        shared
+            .obs
+            .counter("rmi.oneway_lost", Some(shared.phys.0), why)
+            .inc();
+    }
+    shared.events.record(
+        shared.clock.now(),
+        crate::RuntimeEvent::OnewayLost {
+            obj,
+            node: shared.phys,
+            method: method.as_str().to_owned(),
+            error: error.to_string(),
+        },
+    );
 }
 
 /// Whether `class` may be instantiated here under selective classloading.

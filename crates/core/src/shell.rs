@@ -121,16 +121,11 @@ pub struct JsShell {
     store: Option<ObjectStore>,
     shared_segments: Vec<LinkClass>,
     observability: bool,
-    loopback_fast_path: bool,
-    delivery_shards: usize,
     param_plane: bool,
     automigrate_dirty_set: bool,
     directory_replicas: u32,
     rmi_batching: Option<jsym_net::BatchConfig>,
     executor_threads: usize,
-    executor_legacy_injector: bool,
-    net_state_shards: usize,
-    net_endpoint_cache: bool,
     pub(crate) affinity: AffinityConfig,
 }
 
@@ -151,16 +146,11 @@ impl JsShell {
             store: None,
             shared_segments: Vec::new(),
             observability: true,
-            loopback_fast_path: jsym_net::NetworkConfig::default().loopback_fast_path,
-            delivery_shards: jsym_net::NetworkConfig::default().delivery_shards,
             param_plane: true,
             automigrate_dirty_set: true,
             directory_replicas: 0,
             rmi_batching: None,
             executor_threads: 0,
-            executor_legacy_injector: false,
-            net_state_shards: jsym_net::NetworkConfig::default().state_shards,
-            net_endpoint_cache: jsym_net::NetworkConfig::default().endpoint_cache,
             affinity: AffinityConfig::default(),
         }
     }
@@ -246,24 +236,6 @@ impl JsShell {
         self
     }
 
-    /// Enables or disables the loopback fast path: same-node sends whose
-    /// modeled arrival is imminent are delivered inline on the caller's
-    /// thread instead of crossing the delivery plane. On by default;
-    /// disable to force every send through the shared delivery heaps
-    /// (useful for differential testing — results and charged wire bytes
-    /// are identical either way).
-    pub fn loopback_fast_path(mut self, enabled: bool) -> Self {
-        self.loopback_fast_path = enabled;
-        self
-    }
-
-    /// Sets the number of delivery-plane shards (per-destination heaps
-    /// served by dedicated threads). Clamped to at least 1.
-    pub fn delivery_shards(mut self, shards: usize) -> Self {
-        self.delivery_shards = shards.max(1);
-        self
-    }
-
     /// Enables or disables the parameter aggregation plane: cached samples
     /// (TTL = monitoring period), incremental component rollups and the
     /// indexed placement heap. On by default; disable to force every
@@ -304,7 +276,7 @@ impl JsShell {
     /// the summed payload bytes, flushed early when the batch reaches
     /// `max_bytes`. Per-message delivery semantics, ordering and `NetStats`
     /// attribution are preserved exactly (DESIGN.md §12); node-local traffic
-    /// keeps the loopback fast path. Off by default.
+    /// is never batched. Off by default.
     pub fn rmi_batching(mut self, flush_window: f64, max_bytes: usize) -> Self {
         self.rmi_batching = Some(jsym_net::BatchConfig {
             flush_window: flush_window.max(0.0),
@@ -365,33 +337,6 @@ impl JsShell {
         self
     }
 
-    /// Routes executor spawns through the legacy single global inject queue
-    /// and global sleep condvar instead of the default per-worker striped
-    /// inject queues with targeted parker wakeups. Scheduling semantics are
-    /// identical (the two are differential-tested against each other); kept
-    /// as the contention oracle for `ablate_contention`.
-    pub fn executor_legacy_injector(mut self, legacy: bool) -> Self {
-        self.executor_legacy_injector = legacy;
-        self
-    }
-
-    /// Sets the lock-stripe count for the delivery plane's per-pair hot-path
-    /// state (`pair_last`, and the batching stage's `pending`/`gaps` maps).
-    /// Rounded up to a power of two; `1` collapses to the legacy
-    /// single-lock layout, kept as the differential oracle (DESIGN.md §15).
-    pub fn net_state_shards(mut self, shards: usize) -> Self {
-        self.net_state_shards = shards.max(1);
-        self
-    }
-
-    /// Enables or disables the per-thread endpoint-directory cache that lets
-    /// fault-free sends resolve their destination without any global
-    /// `RwLock` read (on by default; `false` is the legacy lookup path).
-    pub fn net_endpoint_cache(mut self, enabled: bool) -> Self {
-        self.net_endpoint_cache = enabled;
-        self
-    }
-
     /// Configures the affinity plane: decayed caller→object traffic
     /// counters drive affinity-guided re-placement during automigrate
     /// supervisor rounds, and the replicated directory serves leader-local
@@ -412,12 +357,9 @@ impl JsShell {
             jsym_obs::ObsRegistry::disabled()
         };
         let exec = if self.executor_threads > 0 {
-            Some(jsym_exec::Executor::with_config(
+            Some(jsym_exec::Executor::with_obs(
                 self.executor_threads,
                 obs.clone(),
-                jsym_exec::ExecConfig {
-                    legacy_injector: self.executor_legacy_injector,
-                },
             ))
         } else {
             None
@@ -444,12 +386,8 @@ impl JsShell {
                 topo,
                 jsym_net::NetworkConfig {
                     shared_segments: self.shared_segments.clone(),
-                    loopback_fast_path: self.loopback_fast_path,
-                    delivery_shards: self.delivery_shards,
                     batching: self.rmi_batching.clone(),
                     deliver_via_hook: exec.is_some(),
-                    state_shards: self.net_state_shards,
-                    endpoint_cache: self.net_endpoint_cache,
                     ..jsym_net::NetworkConfig::default()
                 },
                 obs.clone(),
@@ -702,8 +640,8 @@ impl Deployment {
             dir_host,
             shutdown: AtomicBool::new(false),
         });
-        // Local deliveries (loopback fast path and same-node slow path)
-        // bypass the mailbox and dispatch straight into the runtime. The
+        // Local deliveries bypass the mailbox and dispatch straight into the
+        // runtime from the delivery plane's drainer. The
         // hook holds the node weakly: shutdown drops the runtime even if
         // the network outlives it, and a hook firing during teardown is a
         // no-op.

@@ -219,9 +219,9 @@ impl JsClass for ChainNode {
 /// Regression: a nested-invocation chain 32 deep across two nodes on a
 /// 2-worker executor. Every hop blocks its worker awaiting the callee's
 /// reply; without blocking-compensation the pool starves after 2 hops and
-/// the chain never completes. Run under both injector layouts — the striped
-/// scheduler must preserve the ledger invariant exactly.
-fn deep_chain_on_two_workers(legacy_injector: bool) {
+/// the chain never completes.
+#[test]
+fn deep_nested_chain_completes_on_two_worker_executor() {
     let d = JsShell::new()
         .add_machine(MachineConfig::idle("m0", 50.0))
         .add_machine(MachineConfig::idle("m1", 50.0))
@@ -230,7 +230,6 @@ fn deep_chain_on_two_workers(legacy_injector: bool) {
         .failure_timeout(1e9)
         .cost_model(CostModel::free())
         .executor(2)
-        .executor_legacy_injector(legacy_injector)
         .boot();
     d.classes()
         .register_class::<ChainNode, _>("ChainNode", None, |_| Ok(ChainNode));
@@ -272,14 +271,4 @@ fn deep_chain_on_two_workers(legacy_injector: bool) {
     assert!(stats.spare_spawns >= 1, "chain must have compensated");
     reg.unregister().unwrap();
     d.shutdown();
-}
-
-#[test]
-fn deep_nested_chain_completes_on_two_worker_executor() {
-    deep_chain_on_two_workers(false);
-}
-
-#[test]
-fn deep_nested_chain_completes_on_legacy_injector() {
-    deep_chain_on_two_workers(true);
 }

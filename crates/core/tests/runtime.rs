@@ -1,10 +1,13 @@
 //! End-to-end tests of the object model: creation, placement, the three
 //! invocation modes, first-order handles, freeing and unregistration.
 
+use jsym_core::obs::MetricKey;
 use jsym_core::testkit::{register_test_classes, shell_with_idle_machines, three_node_shell};
-use jsym_core::{Deployment, JsError, JsObj, Placement, Value};
+use jsym_core::{Deployment, InvokeCtx, JsClass, JsError, JsObj, Placement, RuntimeEvent, Value};
 use jsym_net::NodeId;
 use jsym_sysmon::{JsConstraints, SysParam};
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn boot(n: usize) -> Deployment {
     let d = shell_with_idle_machines(n).boot();
@@ -376,5 +379,106 @@ fn free_with_invocations_in_flight_fails_them_cleanly() {
         assert!(tries < 300, "instance never dropped after free");
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
+    d.shutdown();
+}
+
+/// A class whose `hold` method says it is running, then waits to be released.
+struct Latch {
+    entered: mpsc::Sender<()>,
+    release: mpsc::Receiver<()>,
+}
+
+impl JsClass for Latch {
+    fn class_name(&self) -> &str {
+        "Latch"
+    }
+
+    fn invoke(
+        &mut self,
+        method: &str,
+        _: &[Value],
+        _: &mut InvokeCtx<'_>,
+    ) -> jsym_core::Result<Value> {
+        if method == "hold" {
+            self.entered.send(()).expect("the test is listening");
+            self.release.recv().expect("the test releases the latch");
+        }
+        Ok(Value::Null)
+    }
+
+    fn snapshot(&self) -> jsym_core::Result<Vec<u8>> {
+        Err(JsError::Serialization("a Latch does not move".into()))
+    }
+}
+
+#[test]
+fn lost_oneway_calls_are_counted_and_logged() {
+    let d = boot(2);
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let parts = std::sync::Mutex::new(Some((entered_tx, release_rx)));
+    d.classes().register_raw(
+        "Latch",
+        None,
+        move |_| {
+            let (entered, release) = parts.lock().unwrap().take().expect("one Latch");
+            Ok(Box::new(Latch { entered, release }) as Box<dyn JsClass>)
+        },
+        |_| Err(JsError::Serialization("a Latch does not move".into())),
+    );
+    let reg = d.register_app().unwrap();
+    let host = NodeId(1);
+    let latch = JsObj::create(&reg, "Latch", &[], Placement::OnPhys(host), None).unwrap();
+    let counter = JsObj::create(&reg, "Counter", &[], Placement::OnPhys(host), None).unwrap();
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let mut tries = 0;
+        while !done() {
+            tries += 1;
+            assert!(tries < 2_000, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+
+    // `hold` occupies the object; three calls queue behind it and the object
+    // is freed under them, so none of the three can run.
+    latch.oinvoke("hold", &[]).unwrap();
+    entered_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    for _ in 0..3 {
+        latch.oinvoke("poke", &[]).unwrap();
+    }
+    latch.free().unwrap();
+    wait_for("the free to land", &|| {
+        d.node_stats(host).unwrap().objects_hosted == 1
+    });
+    release_tx.send(()).unwrap();
+    // A one-sided call whose method fails is lost as well; one that
+    // succeeds is not.
+    counter.oinvoke("fail", &[]).unwrap();
+    counter.oinvoke("add", &[Value::I64(1)]).unwrap();
+
+    let lost = |why: &str| {
+        let key = MetricKey::new("rmi.oneway_lost", Some(host.0), why);
+        let snap = d.obs().metrics().snapshot();
+        snap.counters.get(&key).copied().unwrap_or(0)
+    };
+    wait_for("the lost calls to be counted", &|| {
+        lost("gone") == 3 && lost("failed") == 1
+    });
+    assert_eq!(counter.sinvoke("get", &[]).unwrap(), Value::I64(1));
+    // hold + 3 pokes + fail + add + get were issued; every one either ran its
+    // method or is counted as gone.
+    let ran: u64 = d
+        .machines()
+        .iter()
+        .map(|&m| d.node_stats(m).unwrap().invocations)
+        .sum();
+    assert_eq!(ran + lost("gone"), 7);
+    let logged = d
+        .events()
+        .all()
+        .iter()
+        .filter(|(_, e)| matches!(e, RuntimeEvent::OnewayLost { node, .. } if *node == host))
+        .count();
+    assert_eq!(logged, 4);
     d.shutdown();
 }

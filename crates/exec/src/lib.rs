@@ -6,9 +6,8 @@
 //! worker pool), which caps simulated cluster size at a few hundred nodes.
 //! This crate provides the alternative: a fixed pool of workers fed by
 //! per-worker striped inject queues (round-robin placement, targeted parker
-//! wakeups; one global injector + condvar in the legacy oracle mode) plus
-//! per-worker run queues with stealing, and a single timer thread that
-//! releases [`Executor::spawn_at`] jobs at their real deadline.
+//! wakeups) plus per-worker run queues with stealing, and a single timer
+//! thread that releases [`Executor::spawn_at`] jobs at their real deadline.
 //! Queues are short-critical-section mutexed `VecDeque`s rather than lock-free
 //! Chase-Lev deques: jobs here are node mailbox drains and RMI dispatches that
 //! run for microseconds to milliseconds, so queue-op cost is noise and the
@@ -92,23 +91,12 @@ impl JobQueue {
     }
 }
 
-/// Tunables for [`Executor::with_config`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecConfig {
-    /// Use the legacy layout — one global inject queue plus one global sleep
-    /// condvar — instead of per-worker striped inject queues with targeted
-    /// parker wakeups. Kept as the differential oracle for the striped
-    /// scheduler (and for the `ablate_contention` sweep).
-    pub legacy_injector: bool,
-}
-
 const P_RUNNING: u8 = 0;
 const P_PARKED: u8 = 1;
 const P_NOTIFIED: u8 = 2;
 
-/// One worker's token parker, replacing the legacy global sleep condvar so a
-/// spawn can wake exactly the worker that owns the stripe it pushed to
-/// instead of notifying a herd.
+/// One worker's token parker, so a spawn can wake exactly the worker that
+/// owns the stripe it pushed to instead of notifying a herd.
 ///
 /// Protocol (Dekker-style): the worker publishes `PARKED` with [`Parker::
 /// prepare`] *before* its final queue re-check, and a spawner pushes its job
@@ -239,13 +227,11 @@ struct TimerState {
 }
 
 struct Inner {
-    /// Legacy single inject queue; unused (always empty) in striped mode.
-    injector: JobQueue,
-    /// Striped inject queues, one per base worker; empty in legacy mode.
+    /// Striped inject queues, one per base worker.
     stripes: Box<[JobQueue]>,
     /// Round-robin cursor for stripe placement.
     rr: AtomicU64,
-    /// Jobs queued anywhere (injector/stripes + worker locals): incremented
+    /// Jobs queued anywhere (stripes + worker locals): incremented
     /// per spawn, decremented when a worker dequeues a job to run it. Signed
     /// so a shutdown clearing the queues can reset it without racing late
     /// decrements; reads clamp at zero.
@@ -254,12 +240,8 @@ struct Inner {
     base_slots: Box<[Arc<WorkerSlot>]>,
     /// Spare worker slots (registered on spawn, removed on retire).
     extra_slots: RwLock<Vec<Arc<WorkerSlot>>>,
-    config: ExecConfig,
     base: usize,
     cap: Mutex<Cap>,
-    /// Count of workers parked on `wake` (guarded by `sleep`; legacy mode).
-    sleep: Mutex<usize>,
-    wake: Condvar,
     timer: Mutex<TimerState>,
     timer_wake: Condvar,
     shutdown: AtomicBool,
@@ -315,20 +297,11 @@ impl Executor {
     /// Start an executor with `threads` base workers (clamped to at least 1)
     /// and no metrics.
     pub fn new(threads: usize) -> Arc<Executor> {
-        Self::build(threads, None, ExecConfig::default())
+        Self::build(threads, None)
     }
 
     /// Start an executor exporting `exec.*` gauges/counters into `obs`.
     pub fn with_obs(threads: usize, obs: jsym_obs::ObsRegistry) -> Arc<Executor> {
-        Self::with_config(threads, obs, ExecConfig::default())
-    }
-
-    /// Start an executor with explicit tunables (see [`ExecConfig`]).
-    pub fn with_config(
-        threads: usize,
-        obs: jsym_obs::ObsRegistry,
-        config: ExecConfig,
-    ) -> Arc<Executor> {
         let handles = ObsHandles {
             queue_depth: obs.gauge("exec.queue_depth", None, "exec"),
             blocked: obs.gauge("exec.blocked", None, "exec"),
@@ -339,10 +312,10 @@ impl Executor {
             wake_targeted: obs.counter("exec.wake.targeted", None, "exec"),
             wake_escalated: obs.counter("exec.wake.escalated", None, "exec"),
         };
-        Self::build(threads, Some(handles), config)
+        Self::build(threads, Some(handles))
     }
 
-    fn build(threads: usize, obs: Option<ObsHandles>, config: ExecConfig) -> Arc<Executor> {
+    fn build(threads: usize, obs: Option<ObsHandles>) -> Arc<Executor> {
         let base = threads.max(1);
         let stripes = (0..base)
             .map(|_| JobQueue::default())
@@ -359,21 +332,17 @@ impl Executor {
             .collect::<Vec<_>>()
             .into_boxed_slice();
         let inner = Arc::new(Inner {
-            injector: JobQueue::default(),
             stripes,
             rr: AtomicU64::new(0),
             depth: AtomicI64::new(0),
             base_slots,
             extra_slots: RwLock::new(Vec::new()),
-            config,
             base,
             cap: Mutex::new(Cap {
                 live: base,
                 blocked: 0,
                 spares: 0,
             }),
-            sleep: Mutex::new(0),
-            wake: Condvar::new(),
             timer: Mutex::new(TimerState {
                 heap: BinaryHeap::new(),
                 next_seq: 0,
@@ -464,7 +433,6 @@ impl Executor {
             st.heap.clear();
         }
         self.inner.timer_wake.notify_all();
-        self.inner.wake.notify_all();
         for s in self.inner.base_slots.iter() {
             s.parker.unpark();
         }
@@ -482,7 +450,6 @@ impl Executor {
                 let _ = h.join();
             }
         }
-        self.inner.injector.clear();
         for s in self.inner.stripes.iter() {
             s.clear();
         }
@@ -509,33 +476,21 @@ impl Inner {
         if self.shutdown.load(Ordering::Acquire) {
             return;
         }
-        if self.config.legacy_injector {
-            self.injector.push_back(job);
-            self.depth.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = &self.obs {
-                o.queue_depth.set(self.queue_depth() as f64);
-            }
-            if *self.sleep.lock() > 0 {
-                self.wake.notify_one();
-            }
-        } else {
-            let n = self.stripes.len();
-            let i = (self.rr.fetch_add(1, Ordering::Relaxed) as usize) % n;
-            // The push must precede the unpark: the parker protocol's
-            // no-stranded-job guarantee hangs on that order.
-            self.stripes[i].push_back(job);
-            self.depth.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = &self.obs {
-                o.queue_depth.set(self.queue_depth() as f64);
-            }
-            self.wake_for(i);
+        let n = self.stripes.len();
+        let i = (self.rr.fetch_add(1, Ordering::Relaxed) as usize) % n;
+        // The push must precede the unpark: the parker protocol's
+        // no-stranded-job guarantee hangs on that order.
+        self.stripes[i].push_back(job);
+        self.depth.fetch_add(1, Ordering::Relaxed);
+        if let Some(o) = &self.obs {
+            o.queue_depth.set(self.queue_depth() as f64);
         }
+        self.wake_for(i);
     }
 
     /// Wake at most one worker for a job pushed to stripe `i`: the stripe's
     /// owner if it is parked (targeted), any other parked worker otherwise
-    /// (escalated), plus one extra on backlog — all instead of the legacy
-    /// herd-prone global `notify_one` against a shared condvar.
+    /// (escalated), plus one extra on backlog.
     fn wake_for(&self, i: usize) {
         if self.base_slots[i].parker.unpark() {
             self.wakes_targeted.fetch_add(1, Ordering::Relaxed);
@@ -600,7 +555,18 @@ impl Inner {
             });
             self.extra_slots.write().push(Arc::clone(&slot));
             let handle = spawn_worker(self, slot, cap.live, true);
-            self.threads.lock().push(handle);
+            let mut threads = self.threads.lock();
+            // Reap the spares that retired since the last spawn: an exited
+            // thread keeps its stack mapped until it is joined.
+            let mut i = 0;
+            while i < threads.len() {
+                if threads[i].is_finished() {
+                    let _ = threads.swap_remove(i).join();
+                } else {
+                    i += 1;
+                }
+            }
+            threads.push(handle);
         }
         // The ledger invariant this whole scheme exists for: after
         // compensation, the runnable head-count never sits below base.
@@ -632,11 +598,7 @@ fn spawn_worker(
 /// retirement or shutdown racing a grab does not strand them invisibly.
 fn requeue_leftovers(inner: &Inner, slot: &WorkerSlot) {
     while let Some(job) = slot.local.pop_front() {
-        if inner.config.legacy_injector {
-            inner.injector.push_back(job);
-        } else {
-            inner.stripes[slot.stripe % inner.stripes.len()].push_back(job);
-        }
+        inner.stripes[slot.stripe % inner.stripes.len()].push_back(job);
     }
 }
 
@@ -698,23 +660,16 @@ fn find_queued(inner: &Arc<Inner>, slot: &Arc<WorkerSlot>) -> Option<Job> {
     if let Some(job) = slot.local.pop_front() {
         return Some(job);
     }
-    if inner.config.legacy_injector {
-        // Pull a small batch from the injector so hot bursts amortise lock
-        // trips but idle workers still find stealable leftovers.
-        if let Some(job) = inner.injector.grab_batch(&slot.local, 4) {
+    // Own stripe first (batched, so hot bursts amortise lock trips — the
+    // bias that keeps the round-robin placement roughly 1:1 with consumers),
+    // then the others singly.
+    let n = inner.stripes.len();
+    if let Some(job) = inner.stripes[slot.stripe % n].grab_batch(&slot.local, 4) {
+        return Some(job);
+    }
+    for k in 1..n {
+        if let Some(job) = inner.stripes[(slot.stripe + k) % n].pop_front() {
             return Some(job);
-        }
-    } else {
-        // Own stripe first (batched — the bias that keeps the round-robin
-        // placement roughly 1:1 with consumers), then the others singly.
-        let n = inner.stripes.len();
-        if let Some(job) = inner.stripes[slot.stripe % n].grab_batch(&slot.local, 4) {
-            return Some(job);
-        }
-        for k in 1..n {
-            if let Some(job) = inner.stripes[(slot.stripe + k) % n].pop_front() {
-                return Some(job);
-            }
         }
     }
     let steal = |s: &Arc<WorkerSlot>| -> Option<Job> {
@@ -742,41 +697,23 @@ fn find_queued(inner: &Arc<Inner>, slot: &Arc<WorkerSlot>) -> Option<Job> {
 }
 
 fn park(inner: &Arc<Inner>, slot: &Arc<WorkerSlot>) {
-    if !inner.config.legacy_injector {
-        // Dekker order: publish PARKED *before* the final queue re-check, so
-        // a concurrent spawn either sees PARKED (and unparks us) or we see
-        // its job here.
-        if !slot.parker.prepare() {
-            return;
-        }
-        if inner.shutdown.load(Ordering::Acquire) || !inner.stripes.iter().all(|s| s.is_empty()) {
-            slot.parker.cancel();
-            return;
-        }
-        inner.parks.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = &inner.obs {
-            o.parks.inc();
-        }
-        // The timeout doubles as the steal-retry cadence: work sitting in
-        // another worker's local queue is invisible to the stripe check.
-        slot.parker.park(Duration::from_millis(1));
+    // Dekker order: publish PARKED *before* the final queue re-check, so a
+    // concurrent spawn either sees PARKED (and unparks us) or we see its job
+    // here.
+    if !slot.parker.prepare() {
         return;
     }
-    let mut sleepers = inner.sleep.lock();
-    // Re-check under the sleepers lock: a spawn that missed our registration
-    // would otherwise strand its job until the timeout below.
-    if !inner.injector.is_empty() || inner.shutdown.load(Ordering::Acquire) {
+    if inner.shutdown.load(Ordering::Acquire) || !inner.stripes.iter().all(|s| s.is_empty()) {
+        slot.parker.cancel();
         return;
     }
-    *sleepers += 1;
     inner.parks.fetch_add(1, Ordering::Relaxed);
     if let Some(o) = &inner.obs {
         o.parks.inc();
     }
-    // The timeout doubles as the steal-retry cadence: work sitting in another
-    // worker's local queue is invisible to the injector check above.
-    inner.wake.wait_for(&mut sleepers, Duration::from_millis(1));
-    *sleepers -= 1;
+    // The timeout doubles as the steal-retry cadence: work sitting in
+    // another worker's local queue is invisible to the stripe check.
+    slot.parker.park(Duration::from_millis(1));
 }
 
 fn timer_loop(inner: &Arc<Inner>) {
@@ -970,6 +907,33 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(ex.stats().spares, 0, "spares should retire");
+        ex.shutdown();
+    }
+
+    #[test]
+    fn retired_spares_are_joined_not_accumulated() {
+        // Each burst blocks one of two workers, which spawns a spare; the
+        // spare retires before the next burst starts. The handle list must
+        // hold the live threads plus the few retired since the last spawn,
+        // not one entry per spare ever spawned.
+        let ex = Executor::new(2);
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        for burst in 0..2_000u64 {
+            while ex.stats().spares > 0 {
+                std::thread::yield_now();
+            }
+            let done = done_tx.clone();
+            ex.spawn(Box::new(move || {
+                blocking(|| ());
+                let _ = done.send(());
+            }));
+            done_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!(ex.stats().spare_spawns, burst + 1);
+            // Two workers, the timer, the live spare, and the retired ones
+            // whose threads had not quite exited at the last spawn.
+            let handles = ex.inner.threads.lock().len();
+            assert!(handles <= 8, "{handles} handles after {burst} bursts");
+        }
         ex.shutdown();
     }
 

@@ -13,9 +13,8 @@ use parking_lot::RwLock;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
 
 /// Why a send was rejected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,8 +42,7 @@ impl fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-/// Per-node delivery callback for node-local traffic (see
-/// [`Network::set_local_hook`]).
+/// Per-node delivery callback (see [`Network::set_local_hook`]).
 pub type LocalHook = Arc<dyn Fn(Envelope) + Send + Sync>;
 
 /// Tunables for a [`Network`].
@@ -59,18 +57,9 @@ pub struct NetworkConfig {
     /// Ethernet of the paper's testbed (as opposed to switched per-pair
     /// capacity). Empty by default — per-pair links only.
     pub shared_segments: Vec<crate::LinkClass>,
-    /// Number of delivery-plane shards (threads + heaps), keyed by
-    /// destination node. Clamped to at least 1.
-    pub delivery_shards: usize,
-    /// Deliver node-local (`src == dst`) messages inline on the caller's
-    /// thread when their deadline is imminent, skipping the delay-queue heap
-    /// and the cross-thread hand-off. Requires a [`Network::set_local_hook`]
-    /// for the node; nodes without a hook always use the queued path.
-    pub loopback_fast_path: bool,
     /// Coalesce same-`(src, dst)` messages into [`Batch`]es with one modeled
     /// wire charge per batch (`None` = per-message charging, the default).
-    /// Node-local traffic is never batched — the loopback plane keeps its
-    /// own fast path.
+    /// Node-local traffic is never batched.
     pub batching: Option<BatchConfig>,
     /// Route *all* deliveries (not just node-local ones) through the
     /// destination's [`Network::set_local_hook`] instead of its mailbox
@@ -79,15 +68,6 @@ pub struct NetworkConfig {
     /// *before* the node's endpoint registers so nothing lands in the unread
     /// mailbox. Nodes without a hook fall back to the mailbox as before.
     pub deliver_via_hook: bool,
-    /// Lock stripes for the per-pair hot-path state (`pair_last`, and the
-    /// coalescing stage's open batches and gap EWMAs), rounded up to a power
-    /// of two. `1` collapses to the legacy single-lock layout, which stays
-    /// as the differential oracle.
-    pub state_shards: usize,
-    /// Cache the per-destination endpoint/hook lookup in a per-thread,
-    /// generation-validated snapshot so fault-free sends take zero global
-    /// `RwLock` reads. `false` restores the legacy read-locked lookups.
-    pub endpoint_cache: bool,
 }
 
 impl Default for NetworkConfig {
@@ -95,12 +75,8 @@ impl Default for NetworkConfig {
         NetworkConfig {
             mailbox_capacity: 4096,
             shared_segments: Vec::new(),
-            delivery_shards: 4,
-            loopback_fast_path: true,
             batching: None,
             deliver_via_hook: false,
-            state_shards: 64,
-            endpoint_cache: true,
         }
     }
 }
@@ -142,79 +118,14 @@ impl Default for BatchConfig {
     }
 }
 
-/// Deadline slack within which a local send may be completed inline. Matches
-/// the delivery thread's own spin horizon, so going inline never delivers
-/// *later* than the queued path would.
-fn inline_horizon() -> Duration {
-    crate::clock::spin_window() + Duration::from_micros(100)
-}
-
-/// A tiny spin gate serializing all deliveries into one node's local hook.
-///
-/// The loopback fast path acquires it with `try_acquire` *inside* the
-/// `pair_last` critical section (so a queued-path delivery racing with an
-/// inline one is impossible), and the shard threads block on `acquire` when
-/// handing a local message to the hook. Hold times are bounded by one hook
-/// dispatch plus at most one `inline_horizon` spin-sleep, so a plain
-/// yield-spin is cheaper than parking. A dedicated type (instead of a
-/// `Mutex<()>`) lets the guard travel independently of a borrow on the map
-/// entry that produced it.
-struct Gate(AtomicBool);
-
-impl Gate {
-    fn new() -> Self {
-        Gate(AtomicBool::new(false))
-    }
-    fn try_acquire(&self) -> bool {
-        self.0
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-    }
-    fn acquire(&self) {
-        while !self.try_acquire() {
-            std::thread::yield_now();
-        }
-    }
-    fn release(&self) {
-        self.0.store(false, Ordering::Release);
-    }
-}
-
-/// RAII release for [`Gate`]; keeps the hook panic-safe (a stuck gate would
-/// wedge every later local delivery for the node).
-struct GateGuard<'a>(&'a Gate);
-
-impl Drop for GateGuard<'_> {
-    fn drop(&mut self) {
-        self.0.release();
-    }
-}
-
-/// Inline-delivery endpoint for one node's local traffic.
-#[derive(Clone)]
-struct LocalEndpoint {
-    hook: LocalHook,
-    gate: Arc<Gate>,
-}
-
-/// Per directed-pair connection state (see the FIFO comment in
-/// [`Network::send`]). `queued` counts node-local messages currently on the
-/// delivery plane; the fast path only engages when it is zero, so an inline
-/// delivery can never overtake an earlier queued one.
-#[derive(Clone, Copy, Default)]
-struct PairState {
-    arrival: f64,
-    queued: u32,
-}
-
 /// One per-thread-cached directory entry for a destination: its mailbox
-/// sender and its local-hook endpoint, both absent-capable (a negative
+/// sender and its delivery hook, both absent-capable (a negative
 /// entry is as cacheable as a positive one — any change bumps the
 /// generation).
 #[derive(Clone, Default)]
 struct CachedEp {
     sender: Option<Sender<Envelope>>,
-    local: Option<LocalEndpoint>,
+    hook: Option<LocalHook>,
 }
 
 struct EpCache {
@@ -250,8 +161,8 @@ struct Routing {
     /// common case — `send`/`deliver` skip the dead/partition read locks
     /// entirely.
     faults: AtomicUsize,
-    /// Inline delivery hooks for node-local traffic.
-    local: RwLock<HashMap<NodeId, LocalEndpoint>>,
+    /// Delivery hooks (see [`Network::set_local_hook`]).
+    hooks: RwLock<HashMap<NodeId, LocalHook>>,
     /// Mirror of [`NetworkConfig::deliver_via_hook`]: prefer the hook for
     /// *all* destinations, not just node-local ones.
     via_hook: bool,
@@ -261,8 +172,6 @@ struct Routing {
     /// `set_local_hook` so per-thread caches validate without touching the
     /// `RwLock`s above.
     gen: AtomicU64,
-    /// Mirror of [`NetworkConfig::endpoint_cache`].
-    cache_enabled: bool,
     ep_cache_hits: AtomicU64,
     ep_cache_misses: AtomicU64,
     /// Pre-resolved `net.shard.cache_miss` handle (no-op when obs is off).
@@ -296,7 +205,7 @@ impl Routing {
             self.obs_cache_miss.inc();
             let e = CachedEp {
                 sender: self.endpoints.read().get(&dst).cloned(),
-                local: self.local.read().get(&dst).cloned(),
+                hook: self.hooks.read().get(&dst).cloned(),
             };
             f(c.map.entry(dst).or_insert(e))
         })
@@ -304,30 +213,19 @@ impl Routing {
 
     /// Whether `dst` has a registered mailbox endpoint.
     fn has_endpoint(&self, dst: NodeId) -> bool {
-        if self.cache_enabled {
-            self.cached(dst, |e| e.sender.is_some())
-        } else {
-            self.endpoints.read().contains_key(&dst)
-        }
+        self.cached(dst, |e| e.sender.is_some())
     }
 
-    /// The local-hook endpoint for `dst`, if installed.
-    fn local_ep(&self, dst: NodeId) -> Option<LocalEndpoint> {
-        if self.cache_enabled {
-            self.cached(dst, |e| e.local.clone())
-        } else {
-            self.local.read().get(&dst).cloned()
-        }
+    /// The delivery hook for `dst`, if installed.
+    fn hook(&self, dst: NodeId) -> Option<LocalHook> {
+        self.cached(dst, |e| e.hook.clone())
     }
 
     /// The mailbox sender for `dst`, if registered.
     fn sender(&self, dst: NodeId) -> Option<Sender<Envelope>> {
-        if self.cache_enabled {
-            self.cached(dst, |e| e.sender.clone())
-        } else {
-            self.endpoints.read().get(&dst).cloned()
-        }
+        self.cached(dst, |e| e.sender.clone())
     }
+
     fn pair_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
         if a <= b {
             (a, b)
@@ -399,24 +297,18 @@ impl Routing {
             return;
         }
         if env.src == env.dst || self.via_hook {
-            // Queued node-local delivery: hand to the hook under the gate so
-            // it serializes with any in-progress inline delivery. Never via
-            // the mailbox — the hook keeps "delivered" and "dispatched"
-            // synonymous, which the fast path's queued==0 check relies on.
+            // Node-local delivery: hand to the hook, never the mailbox. The
+            // plane has one drainer, so hook calls are already serialized.
             // In hook-routed mode (the executor runtime) remote traffic
             // takes this path too; a destination without a hook falls
             // through to the mailbox below.
-            let ep = self.local_ep(env.dst);
-            if let Some(ep) = ep {
-                let (dst, bytes) = (env.dst, env.payload.wire_bytes());
-                ep.gate.acquire();
-                let _guard = GateGuard(&ep.gate);
-                // Count before dispatching: once the gate is held the
-                // delivery is committed, and counting first means a caller
-                // woken by the hook (e.g. a sync response) can never observe
-                // stats that lag its own message.
-                self.stats.record_delivery(dst, bytes);
-                (ep.hook)(env);
+            if let Some(hook) = self.hook(env.dst) {
+                // Count before dispatching: a caller woken by the hook (e.g.
+                // a sync response) must never observe stats that lag its own
+                // message.
+                self.stats
+                    .record_delivery(env.dst, env.payload.wire_bytes());
+                hook(env);
                 return;
             }
         }
@@ -472,7 +364,7 @@ struct PendingBatch {
 /// the unbatched plane.
 ///
 /// Lock order: `pending` stripe → `pair_last` stripe → `segment_last` slot →
-/// queue shard. The pending stripe lock is held through the FIFO reservation
+/// queue heap. The pending stripe lock is held through the FIFO reservation
 /// *and* the queue push, so two flushes of the same pair (a window timer
 /// racing a `max_bytes` overflow of the successor batch) cannot reserve out
 /// of order. All per-pair state is striped on the packed pair key (see
@@ -482,7 +374,7 @@ struct BatchStage {
     clock: SimClock,
     topo: Arc<RwLock<Topology>>,
     routing: Arc<Routing>,
-    pair_last: Arc<Striped<PairState>>,
+    pair_last: Arc<Striped<f64>>,
     segment_last: Arc<SegmentSlots>,
     shared_segments: Vec<LinkClass>,
     /// Back-reference to the delivery plane, set right after the plane is
@@ -681,12 +573,12 @@ impl BatchStage {
         // `Network::send`, applied once for the whole batch.
         let due = {
             let mut pairs = self.pair_last.lock(key);
-            let st = pairs.entry(key).or_default();
-            let mut start = (now + latency).max(st.arrival);
+            let last = pairs.entry(key).or_default();
+            let mut start = (now + latency).max(*last);
             let shared = self.shared_segments.contains(&link);
             let arrival = if shared {
                 // Holding the slot across read + write serializes the whole
-                // segment reservation, same as the legacy double-lock.
+                // segment reservation.
                 let mut seg = self.segment_last.lock(link);
                 start = start.max(*seg);
                 let arrival = start + tx_time;
@@ -695,7 +587,7 @@ impl BatchStage {
             } else {
                 start + tx_time
             };
-            st.arrival = arrival;
+            *last = arrival;
             self.clock.real_deadline(arrival)
         };
         if self.routing.obs.is_enabled() {
@@ -736,21 +628,18 @@ impl BatchStage {
 /// An in-process simulated network.
 ///
 /// Cloning shares the same network. Endpoints are registered per node; sends
-/// are charged the link's latency + transmission delay and delivered by the
-/// sharded delivery plane — or, for node-local traffic with an installed
-/// [`Network::set_local_hook`], inline on the caller's thread.
+/// are charged the link's latency + transmission delay and delivered, in
+/// `(due, seq)` order, by the delivery plane's one drainer.
 #[derive(Clone)]
 pub struct Network {
     clock: SimClock,
     topo: Arc<RwLock<Topology>>,
     routing: Arc<Routing>,
     queue: Arc<DelayQueue>,
-    /// Connection state (last scheduled arrival in virtual time, queued
-    /// local count) per directed node pair, enforcing connection-FIFO
-    /// ordering. Lock-striped by the packed pair key
-    /// ([`NetworkConfig::state_shards`]); `shards == 1` is the legacy
-    /// single-lock oracle.
-    pair_last: Arc<Striped<PairState>>,
+    /// Last scheduled arrival (virtual time) per directed node pair,
+    /// enforcing connection-FIFO ordering (see the comment in
+    /// [`Network::send`]). Lock-striped by the packed pair key.
+    pair_last: Arc<Striped<f64>>,
     /// Last scheduled arrival per shared segment (see
     /// [`NetworkConfig::shared_segments`]): one slot per link class.
     segment_last: Arc<SegmentSlots>,
@@ -764,7 +653,7 @@ pub struct Network {
 /// that found the lock held and had to wait.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NetHotStats {
-    /// Effective stripe count (after power-of-two rounding).
+    /// Stripe count of the per-pair state maps.
     pub state_shards: usize,
     /// Contended acquisitions of `pair_last` stripes.
     pub pair_contended: u64,
@@ -802,7 +691,7 @@ impl Network {
     }
 
     /// Creates a network whose delivery plane runs as externally scheduled
-    /// tasks instead of dedicated shard threads, when `spawner` is provided
+    /// tasks instead of on a dedicated thread, when `spawner` is provided
     /// (see [`crate::SpawnAt`]; used by the executor runtime). With
     /// `spawner: None` this is exactly [`Network::with_obs`].
     pub fn with_obs_and_spawner(
@@ -823,11 +712,10 @@ impl Network {
             dead: RwLock::new(HashSet::new()),
             partitions: RwLock::new(HashSet::new()),
             faults: AtomicUsize::new(0),
-            local: RwLock::new(HashMap::new()),
+            hooks: RwLock::new(HashMap::new()),
             via_hook: config.deliver_via_hook,
             id: NEXT_ROUTING_ID.fetch_add(1, Ordering::Relaxed),
             gen: AtomicU64::new(0),
-            cache_enabled: config.endpoint_cache,
             ep_cache_hits: AtomicU64::new(0),
             ep_cache_misses: AtomicU64::new(0),
             obs_cache_miss: c_cache_miss,
@@ -836,8 +724,7 @@ impl Network {
         });
         // Per-stripe capacities: pairs are the hottest map (every directed
         // pair ever seen), batches are bounded by in-flight pairs.
-        let shards = config.state_shards;
-        let pair_last = Arc::new(Striped::new(shards, 256, c_pair));
+        let pair_last = Arc::new(Striped::new(256, c_pair));
         let segment_last = Arc::new(SegmentSlots::new());
         let topo = Arc::new(RwLock::new(topo));
         let batching = config.batching.clone().map(|bc| {
@@ -849,15 +736,14 @@ impl Network {
                 segment_last: Arc::clone(&segment_last),
                 shared_segments: config.shared_segments.clone(),
                 queue: OnceLock::new(),
-                pending: Striped::new(shards, 64, c_pending),
+                pending: Striped::new(64, c_pending),
                 open_batches: AtomicU64::new(0),
                 epochs: AtomicU64::new(0),
                 config: bc,
-                gaps: Striped::new(shards, 256, c_gaps),
+                gaps: Striped::new(256, c_gaps),
             })
         });
         let deliver_routing = Arc::clone(&routing);
-        let deliver_pairs = Arc::clone(&pair_last);
         let flush_stage = batching.clone();
         let deliver: crate::queue::DeliverFn = Arc::new(move |env: Envelope| {
             // Batch-flush timers never reach an endpoint; they re-enter
@@ -870,20 +756,11 @@ impl Network {
                 }
                 return;
             }
-            // The queued count underpins the fast path's FIFO guarantee:
-            // decrement only after deliver() returns, i.e. after a local
-            // hook has fully dispatched the message.
-            let local_key = (env.src == env.dst).then(|| pair_key(env.src, env.dst));
             deliver_routing.deliver(env);
-            if let Some(key) = local_key {
-                if let Some(st) = deliver_pairs.lock(key).get_mut(&key) {
-                    st.queued = st.queued.saturating_sub(1);
-                }
-            }
         });
         let queue = Arc::new(match spawner {
-            Some(sp) => DelayQueue::start_tasked(config.delivery_shards, sp, deliver),
-            None => DelayQueue::start(config.delivery_shards, deliver),
+            Some(sp) => DelayQueue::start_tasked(sp, deliver),
+            None => DelayQueue::start(deliver),
         });
         if let Some(stage) = &batching {
             let _ = stage.queue.set(Arc::clone(&queue));
@@ -916,27 +793,21 @@ impl Network {
         rx
     }
 
-    /// Installs the inline delivery hook for `node`'s local (`src == dst`)
-    /// traffic. With a hook installed, local messages are dispatched by
-    /// calling it — inline on the sender's thread when the loopback fast
-    /// path engages, from a delivery-plane thread otherwise — instead of
-    /// being posted to the node's mailbox. Deliveries into one node's hook
-    /// are serialized.
+    /// Installs the delivery hook for `node`'s local (`src == dst`) traffic
+    /// — all of its traffic under [`NetworkConfig::deliver_via_hook`]. With
+    /// a hook installed, such messages are dispatched by calling it from the
+    /// delivery plane's drainer instead of being posted to the node's
+    /// mailbox. Hook calls are serialized: the plane delivers one message at
+    /// a time.
     pub fn set_local_hook(&self, node: NodeId, hook: LocalHook) {
-        self.routing.local.write().insert(
-            node,
-            LocalEndpoint {
-                hook,
-                gate: Arc::new(Gate::new()),
-            },
-        );
+        self.routing.hooks.write().insert(node, hook);
         self.routing.bump_gen();
     }
 
     /// Removes the endpoint for `node`; in-flight messages to it are dropped.
     pub fn unregister(&self, node: NodeId) {
         self.routing.endpoints.write().remove(&node);
-        self.routing.local.write().remove(&node);
+        self.routing.hooks.write().remove(&node);
         self.routing.bump_gen();
     }
 
@@ -1008,7 +879,7 @@ impl Network {
         // instead of reserving the wire per message. The send is already
         // accepted and counted at this point; delivery-time re-checks (and
         // per-member stats) happen when the batch is unpacked. Node-local
-        // traffic stays on the loopback plane below.
+        // traffic is never batched.
         if src != dst {
             if let Some(stage) = &self.batching {
                 stage.enqueue(env);
@@ -1020,32 +891,15 @@ impl Network {
         // message can neither overtake an earlier (large) one nor start
         // transmitting before it has finished. A shared segment additionally
         // serializes transmissions across *all* of its pairs.
-        //
-        // Node-local sends may take the loopback fast path: deliver inline on
-        // this thread, skipping the delay-queue heap and the cross-thread
-        // hand-off. Eligibility is decided *inside* the pair_last critical
-        // section, and the node's gate is acquired there too, so the decision
-        // is atomic with respect to both later sends and the delivery plane:
-        //   * queued == 0 — no earlier local message is still on (or being
-        //     dispatched from) the delivery plane that we could overtake;
-        //   * the deadline is within the inline horizon — we spin-sleep to
-        //     the same `due` the delivery thread would, preserving
-        //     virtual-time semantics exactly;
-        //   * gate try-acquired — a hook running right now (e.g. we are
-        //     *inside* a hook dispatch and it sent to itself) falls back to
-        //     the queued path rather than deadlocking or reordering.
-        let local = src == dst;
         let key = pair_key(src, dst);
-        let mut inline: Option<LocalEndpoint> = None;
         let due = {
             let mut pairs = self.pair_last.lock(key);
-            let st = pairs.entry(key).or_default();
-            let mut start = (now + latency).max(st.arrival);
+            let last = pairs.entry(key).or_default();
+            let mut start = (now + latency).max(*last);
             let shared = self.config.shared_segments.contains(&link);
             let arrival = if shared {
                 // Hold the class slot across read + write so the segment
-                // reservation is a single serialized critical section, same
-                // as the legacy double-lock sequence.
+                // reservation is a single serialized critical section.
                 let mut seg = self.segment_last.lock(link);
                 start = start.max(*seg);
                 let arrival = start + tx_time;
@@ -1054,47 +908,10 @@ impl Network {
             } else {
                 start + tx_time
             };
-            st.arrival = arrival;
-            let due = self.clock.real_deadline(arrival);
-            if local && self.config.loopback_fast_path && st.queued == 0 {
-                let eligible = due.saturating_duration_since(Instant::now()) <= inline_horizon();
-                if eligible {
-                    if let Some(ep) = self.routing.local_ep(dst) {
-                        if ep.gate.try_acquire() {
-                            inline = Some(ep);
-                        }
-                    }
-                }
-            }
-            if local && inline.is_none() {
-                st.queued += 1;
-            }
-            due
+            *last = arrival;
+            self.clock.real_deadline(arrival)
         };
-        match inline {
-            Some(ep) => {
-                let _guard = GateGuard(&ep.gate);
-                crate::clock::sleep_until(due);
-                // Delivery-time re-checks, identical to the queued path.
-                if !self.routing.fault_free() && self.routing.is_blocked(src, dst) {
-                    self.routing.drop_env(&env);
-                } else {
-                    // Count before dispatching, mirroring the queued hook
-                    // path: a caller woken by the hook (e.g. the sync reply
-                    // this delivery completes) must never observe stats that
-                    // lag its own message.
-                    self.routing.stats.record_delivery(dst, bytes);
-                    if self.routing.obs.is_enabled() {
-                        self.routing
-                            .obs
-                            .counter("net.loopback", Some(dst.0), "")
-                            .inc();
-                    }
-                    (ep.hook)(env);
-                }
-            }
-            None => self.queue.push(due, env),
-        }
+        self.queue.push(due, env);
         Ok(())
     }
 
@@ -1161,8 +978,7 @@ impl Network {
         self.config.batching.clone()
     }
 
-    /// Hot-path contention counters (see [`NetHotStats`]); the per-cell
-    /// signal the `ablate_contention` bench sweeps.
+    /// Hot-path contention counters (see [`NetHotStats`]).
     pub fn hot_stats(&self) -> NetHotStats {
         NetHotStats {
             state_shards: self.pair_last.shard_count(),
@@ -1204,6 +1020,7 @@ impl fmt::Debug for Network {
 mod tests {
     use super::*;
     use crate::{LinkClass, TimeScale};
+    use parking_lot::Mutex as PlMutex;
     use std::time::Duration;
 
     fn fast_net() -> Network {
@@ -1473,21 +1290,14 @@ mod tests {
         assert_eq!(got, (0..32).collect::<Vec<_>>());
     }
 
-    /// Per-pair `(due, seq)` order under concurrent senders and many
-    /// stripes: each directed pair's messages must arrive in send order no
-    /// matter how the pairs spread over stripe locks. Run for both the
-    /// striped and the legacy (1-stripe) layout.
-    fn assert_pair_order_with_shards(shards: usize) {
+    /// Per-pair `(due, seq)` order under concurrent senders: each directed
+    /// pair's messages must arrive in send order no matter how the pairs
+    /// spread over stripe locks.
+    #[test]
+    fn per_pair_order_holds_across_many_stripes() {
         let mut topo = Topology::new();
         topo.set_default_class(LinkClass::Lan100);
-        let net = Network::with_config(
-            SimClock::new(TimeScale::new(1e-6)),
-            topo,
-            NetworkConfig {
-                state_shards: shards,
-                ..NetworkConfig::default()
-            },
-        );
+        let net = Network::new(SimClock::new(TimeScale::new(1e-6)), topo);
         const SENDERS: u32 = 8;
         const MSGS: u32 = 64;
         let receivers: Vec<_> = (0..SENDERS)
@@ -1518,16 +1328,6 @@ mod tests {
     }
 
     #[test]
-    fn per_pair_order_holds_across_many_stripes() {
-        assert_pair_order_with_shards(64);
-    }
-
-    #[test]
-    fn per_pair_order_holds_on_legacy_single_stripe() {
-        assert_pair_order_with_shards(1);
-    }
-
-    #[test]
     fn endpoint_cache_sees_unregister_and_reregister() {
         let net = fast_net();
         let b = net.register(NodeId(1));
@@ -1549,20 +1349,6 @@ mod tests {
         assert_eq!(*env.payload.downcast::<u8>().unwrap(), 3);
         let hot = net.hot_stats();
         assert!(hot.ep_cache_hits + hot.ep_cache_misses > 0);
-    }
-}
-
-#[cfg(test)]
-mod loopback_tests {
-    use super::*;
-    use crate::{LinkClass, TimeScale};
-    use parking_lot::Mutex as PlMutex;
-    use std::time::Duration;
-
-    fn fast_net_with(config: NetworkConfig) -> Network {
-        let mut topo = Topology::new();
-        topo.set_default_class(LinkClass::Lan100);
-        Network::with_config(SimClock::new(TimeScale::new(1e-5)), topo, config)
     }
 
     fn hooked(net: &Network, node: NodeId) -> Arc<PlMutex<Vec<u32>>> {
@@ -1591,27 +1377,8 @@ mod loopback_tests {
     }
 
     #[test]
-    fn fast_path_delivers_inline_before_send_returns() {
-        let net = fast_net_with(NetworkConfig::default());
-        let rx = net.register(NodeId(0));
-        let got = hooked(&net, NodeId(0));
-        net.send(NodeId(0), NodeId(0), Payload::new("x", 8, 7u32))
-            .unwrap();
-        // Synchronous: the hook has already run when send() returns.
-        assert_eq!(*got.lock(), vec![7]);
-        assert!(rx.try_recv().is_err(), "must not also hit the mailbox");
-        let stats = net.stats();
-        assert_eq!(stats.msgs_sent, 1);
-        assert_eq!(stats.msgs_delivered, 1);
-        assert_eq!(stats.bytes_sent, 8);
-    }
-
-    #[test]
-    fn disabled_fast_path_still_routes_local_sends_through_hook_in_order() {
-        let net = fast_net_with(NetworkConfig {
-            loopback_fast_path: false,
-            ..NetworkConfig::default()
-        });
+    fn local_sends_route_through_hook_in_order() {
+        let net = fast_net();
         let rx = net.register(NodeId(0));
         let got = hooked(&net, NodeId(0));
         for i in 0..16u32 {
@@ -1623,12 +1390,14 @@ mod loopback_tests {
             rx.try_recv().is_err(),
             "hooked node must bypass the mailbox"
         );
-        assert_eq!(net.stats().msgs_delivered, 16);
+        let stats = net.stats();
+        assert_eq!((stats.msgs_sent, stats.msgs_delivered), (16, 16));
+        assert_eq!(stats.bytes_sent, 128);
     }
 
     #[test]
     fn local_send_without_hook_uses_mailbox() {
-        let net = fast_net_with(NetworkConfig::default());
+        let net = fast_net();
         let rx = net.register(NodeId(0));
         net.send(NodeId(0), NodeId(0), Payload::new("x", 8, 9u32))
             .unwrap();
@@ -1637,12 +1406,12 @@ mod loopback_tests {
     }
 
     #[test]
-    fn reentrant_local_sends_from_hook_fall_back_and_keep_order() {
+    fn reentrant_local_sends_from_hook_keep_order() {
         // A hook that sends to its own node while dispatching (the runtime
         // does this when a handler replies synchronously) must neither
-        // deadlock nor let the nested messages overtake: the gate is held,
-        // so they take the queued path and arrive afterwards, in order.
-        let net = fast_net_with(NetworkConfig::default());
+        // deadlock nor let the nested messages overtake: they queue behind
+        // the running delivery and arrive afterwards, in order.
+        let net = fast_net();
         let _rx = net.register(NodeId(0));
         let got: Arc<PlMutex<Vec<u32>>> = Arc::new(PlMutex::new(Vec::new()));
         let sink = Arc::clone(&got);
@@ -1673,32 +1442,8 @@ mod loopback_tests {
     }
 
     #[test]
-    fn fast_and_slow_paths_charge_identical_wire_bytes() {
-        let run = |fast: bool| {
-            let net = fast_net_with(NetworkConfig {
-                loopback_fast_path: fast,
-                ..NetworkConfig::default()
-            });
-            let _rx = net.register(NodeId(0));
-            let got = hooked(&net, NodeId(0));
-            for i in 0..8u32 {
-                net.send(
-                    NodeId(0),
-                    NodeId(0),
-                    Payload::new("seq", 100 + i as usize, i),
-                )
-                .unwrap();
-            }
-            wait_for(&got, &(0..8).collect::<Vec<_>>());
-            let stats = net.stats();
-            (stats.msgs_sent, stats.bytes_sent, stats.msgs_delivered)
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
     fn killed_node_rejects_local_sends_and_revives_clean() {
-        let net = fast_net_with(NetworkConfig::default());
+        let net = fast_net();
         let _rx = net.register(NodeId(0));
         let got = hooked(&net, NodeId(0));
         net.kill_node(NodeId(0));

@@ -1,27 +1,23 @@
 //! Delayed delivery scheduler.
 //!
-//! A small pool of background threads (the *delivery plane*) owns N
-//! priority queues of in-flight messages keyed by their real-time delivery
-//! deadline (the virtual transfer delay mapped through the
-//! [`crate::SimClock`]). Messages are sharded by **destination node**, so
-//! concurrent senders on unrelated links never contend on a shared heap
-//! lock, while everything bound for one node — in particular every
-//! (src, dst) pair — still funnels through a single shard and keeps its
-//! deterministic (due, seq) order.
+//! The *delivery plane* is one priority queue of in-flight messages keyed by
+//! their real-time delivery deadline (the virtual transfer delay mapped
+//! through the [`crate::SimClock`]) and one drainer. Every accepted send —
+//! same-node included — goes through it, so deliveries come out in
+//! deterministic `(due, seq)` order and never run concurrently.
 //!
-//! The plane has two implementations behind one handle:
+//! The drainer has two implementations behind one handle:
 //!
-//! * **Threaded** ([`DelayQueue::start`]): one OS thread per shard, parked
-//!   on a condvar until the next deadline. The legacy default.
-//! * **Tasked** ([`DelayQueue::start_tasked`]): no threads of its own.
-//!   Each shard keeps the same `(due, seq)` heap, but wake-ups are armed on
-//!   an external scheduler via a [`SpawnAt`] closure (in practice the
-//!   `jsym-exec` work-stealing executor) and the heap is drained by
-//!   cooperatively-yielding tasks. At most one drain task runs per shard at
-//!   a time (a `draining` flag claimed under the shard lock), so per-shard
-//!   delivery order is identical to the threaded plane.
+//! * **Threaded** ([`DelayQueue::start`]): one OS thread, parked on a
+//!   condvar until the next deadline.
+//! * **Tasked** ([`DelayQueue::start_tasked`]): no thread of its own.
+//!   Wake-ups are armed on an external scheduler via a [`SpawnAt`] closure
+//!   (in practice the `jsym-exec` work-stealing executor) and the heap is
+//!   drained by cooperatively-yielding tasks. At most one drain task runs at
+//!   a time (a `draining` flag claimed under the heap lock), so delivery
+//!   order is identical to the threaded plane.
 
-use crate::{Envelope, NodeId};
+use crate::Envelope;
 use parking_lot::{Condvar, Mutex};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
@@ -30,7 +26,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Delivery callback: gets the ready message. Shared across shard threads.
+/// Delivery callback: gets the ready message.
 pub(crate) type DeliverFn = Arc<dyn Fn(Envelope) + Send + Sync>;
 
 /// External deadline scheduler: `spawner(at, job)` must run `job` once, at
@@ -41,8 +37,7 @@ pub type SpawnAt = Arc<dyn Fn(Instant, Box<dyn FnOnce() + Send + 'static>) + Sen
 
 struct Scheduled {
     due: Instant,
-    /// Tie-breaker preserving send order for equal deadlines. Per-shard:
-    /// a (src, dst) pair always maps to one shard, so pair order is total.
+    /// Tie-breaker preserving send order for equal deadlines.
     seq: u64,
     env: Envelope,
 }
@@ -68,103 +63,100 @@ impl Ord for Scheduled {
     }
 }
 
+/// The `(due, seq)` heap both drainers pop from.
+#[derive(Default)]
+struct Heap {
+    items: BinaryHeap<Scheduled>,
+    next_seq: u64,
+}
+
+impl Heap {
+    fn push(&mut self, due: Instant, env: Envelope) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.items.push(Scheduled { due, seq, env });
+    }
+
+    /// Deadline of the head, if any.
+    fn due(&self) -> Option<Instant> {
+        self.items.peek().map(|s| s.due)
+    }
+
+    fn pop(&mut self) -> Option<Envelope> {
+        self.items.pop().map(|s| s.env)
+    }
+}
+
 #[derive(Default)]
 struct QueueState {
-    heap: BinaryHeap<Scheduled>,
-    next_seq: u64,
+    heap: Heap,
     shutdown: bool,
 }
 
-struct ShardInner {
+struct Threaded {
     state: Mutex<QueueState>,
     cond: Condvar,
 }
 
-struct Shard {
-    inner: Arc<ShardInner>,
-    handle: Mutex<Option<JoinHandle<()>>>,
-}
-
-/// One tasked shard: the heap plus drain/arm bookkeeping.
+/// The tasked plane's heap plus drain/arm bookkeeping.
 #[derive(Default)]
 struct TaskedState {
-    heap: BinaryHeap<Scheduled>,
-    next_seq: u64,
-    /// A drain task currently owns this shard. While set, pushes never arm
-    /// a wake-up: the drainer re-peeks under the lock before exiting and
-    /// arms for whatever head it leaves behind.
+    heap: Heap,
+    /// A drain task currently owns the heap. While set, pushes never arm a
+    /// wake-up: the drainer re-peeks under the lock before exiting and arms
+    /// for whatever head it leaves behind.
     draining: bool,
     /// Earliest instant a wake-up is armed for, if any. Stale (later) armed
     /// tasks may exist; they find nothing due and are no-ops.
     armed: Option<Instant>,
 }
 
-struct TaskedInner {
-    shards: Vec<Mutex<TaskedState>>,
+struct Tasked {
+    state: Mutex<TaskedState>,
     spawner: SpawnAt,
     deliver: DeliverFn,
     shutdown: AtomicBool,
 }
 
-/// Deliveries one drain task performs before re-scheduling itself, so a
-/// shard under sustained load cannot monopolise an executor worker.
+/// Deliveries one drain task performs before re-scheduling itself, so the
+/// plane under sustained load cannot monopolise an executor worker.
 const DRAIN_BUDGET: usize = 256;
 
 enum Plane {
-    Threaded(Vec<Shard>),
-    Tasked(Arc<TaskedInner>),
+    Threaded(Arc<Threaded>, Mutex<Option<JoinHandle<()>>>),
+    Tasked(Arc<Tasked>),
 }
 
-/// Handle to the delivery plane. Dropping it stops the threads; pending
+/// Handle to the delivery plane. Dropping it stops the drainer; pending
 /// messages are discarded (matching a network that disappears).
 pub(crate) struct DelayQueue {
     plane: Plane,
 }
 
-/// Picks the shard for a destination. All traffic to one node — and hence
-/// every (src, dst) pair — lands on exactly one shard.
-fn shard_index(dst: NodeId, shards: usize) -> usize {
-    dst.0 as usize % shards
-}
-
 impl DelayQueue {
-    /// Spawns `shards` delivery threads (clamped to at least one), all
-    /// feeding the same delivery callback.
-    pub(crate) fn start(shards: usize, deliver: DeliverFn) -> Self {
-        let shards = shards.max(1);
-        let shards = (0..shards)
-            .map(|i| {
-                let inner = Arc::new(ShardInner {
-                    state: Mutex::new(QueueState::default()),
-                    cond: Condvar::new(),
-                });
-                let thread_inner = Arc::clone(&inner);
-                let thread_deliver = Arc::clone(&deliver);
-                let handle = std::thread::Builder::new()
-                    .name(format!("jsym-net-delivery-{i}"))
-                    .spawn(move || Self::run(thread_inner, thread_deliver))
-                    .expect("spawn delivery thread");
-                Shard {
-                    inner,
-                    handle: Mutex::new(Some(handle)),
-                }
-            })
-            .collect();
+    /// Spawns the delivery thread feeding `deliver`.
+    pub(crate) fn start(deliver: DeliverFn) -> Self {
+        let inner = Arc::new(Threaded {
+            state: Mutex::new(QueueState::default()),
+            cond: Condvar::new(),
+        });
+        let thread_inner = Arc::clone(&inner);
+        let handle = std::thread::Builder::new()
+            .name("jsym-net-delivery".into())
+            .spawn(move || Self::run(thread_inner, deliver))
+            .expect("spawn delivery thread");
         DelayQueue {
-            plane: Plane::Threaded(shards),
+            plane: Plane::Threaded(inner, Mutex::new(Some(handle))),
         }
     }
 
-    /// Builds a tasked plane: same shard count and ordering guarantees as
+    /// Builds a tasked plane: same ordering guarantees as
     /// [`DelayQueue::start`], but wake-ups run as `spawner` jobs instead of
-    /// on dedicated threads.
-    pub(crate) fn start_tasked(shards: usize, spawner: SpawnAt, deliver: DeliverFn) -> Self {
-        let shards = shards.max(1);
+    /// on a dedicated thread.
+    pub(crate) fn start_tasked(spawner: SpawnAt, deliver: DeliverFn) -> Self {
         DelayQueue {
-            plane: Plane::Tasked(Arc::new(TaskedInner {
-                shards: (0..shards)
-                    .map(|_| Mutex::new(TaskedState::default()))
-                    .collect(),
+            plane: Plane::Tasked(Arc::new(Tasked {
+                state: Mutex::new(TaskedState::default()),
                 spawner,
                 deliver,
                 shutdown: AtomicBool::new(false),
@@ -172,36 +164,29 @@ impl DelayQueue {
         }
     }
 
-    /// Schedules `env` for delivery at real time `due` on the shard owning
-    /// its destination node.
+    /// Schedules `env` for delivery at real time `due`.
     pub(crate) fn push(&self, due: Instant, env: Envelope) {
         match &self.plane {
-            Plane::Threaded(shards) => {
-                let shard = &shards[shard_index(env.dst, shards.len())];
-                let mut state = shard.inner.state.lock();
+            Plane::Threaded(inner, _) => {
+                let mut state = inner.state.lock();
                 if state.shutdown {
                     return;
                 }
-                let seq = state.next_seq;
-                state.next_seq += 1;
-                state.heap.push(Scheduled { due, seq, env });
-                shard.inner.cond.notify_one();
+                state.heap.push(due, env);
+                inner.cond.notify_one();
             }
             Plane::Tasked(inner) => {
                 if inner.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                let idx = shard_index(env.dst, inner.shards.len());
                 let wake = {
-                    let mut st = inner.shards[idx].lock();
-                    let seq = st.next_seq;
-                    st.next_seq += 1;
-                    st.heap.push(Scheduled { due, seq, env });
+                    let mut st = inner.state.lock();
+                    st.heap.push(due, env);
                     // Invariant: whenever `draining` is false and the heap is
                     // non-empty, a wake-up is armed at or before the head's
-                    // deadline. A drainer owns the shard otherwise and arms
+                    // deadline. A drainer owns the heap otherwise and arms
                     // on exit.
-                    let wake = due.checked_sub(tasked_horizon()).unwrap_or(due);
+                    let wake = due.checked_sub(spin_horizon()).unwrap_or(due);
                     if !st.draining && st.armed.is_none_or(|a| wake < a) {
                         st.armed = Some(wake);
                         Some(wake)
@@ -210,22 +195,14 @@ impl DelayQueue {
                     }
                 };
                 if let Some(at) = wake {
-                    let task_inner = Arc::clone(inner);
-                    (inner.spawner)(at, Box::new(move || drain_shard(&task_inner, idx)));
+                    arm(inner, at);
                 }
             }
         }
     }
 
-    fn run(inner: Arc<ShardInner>, deliver: DeliverFn) {
-        // OS condvar timeouts overshoot by 50-100 µs, which at aggressive
-        // time scales dwarfs the modeled link latencies. For deadlines in
-        // the near future we therefore release the lock and spin-sleep to
-        // the deadline instead (`sleep_until`); a message pushed meanwhile
-        // is at most one spin window late, which is below the condvar's own
-        // error. On single-core hosts the spin window is zero and this
-        // degrades to plain timed waits (see `clock::spin_window`).
-        let spin_horizon: Duration = crate::clock::spin_window() + Duration::from_micros(100);
+    fn run(inner: Arc<Threaded>, deliver: DeliverFn) {
+        let spin_horizon = spin_horizon();
         loop {
             let ready = {
                 let mut state = inner.state.lock();
@@ -234,10 +211,9 @@ impl DelayQueue {
                         return;
                     }
                     let now = Instant::now();
-                    match state.heap.peek() {
-                        Some(s) if s.due <= now => break state.heap.pop().expect("peeked"),
-                        Some(s) => {
-                            let due = s.due;
+                    match state.heap.due() {
+                        Some(due) if due <= now => break state.heap.pop().expect("peeked"),
+                        Some(due) => {
                             if due - now <= spin_horizon {
                                 drop(state);
                                 crate::clock::sleep_until(due);
@@ -252,60 +228,63 @@ impl DelayQueue {
                     }
                 }
             };
-            deliver(ready.env);
+            deliver(ready);
         }
     }
 
     pub(crate) fn shutdown(&self) {
         match &self.plane {
-            Plane::Threaded(shards) => {
-                for shard in shards {
-                    {
-                        let mut state = shard.inner.state.lock();
-                        state.shutdown = true;
-                        state.heap.clear();
-                    }
-                    shard.inner.cond.notify_all();
+            Plane::Threaded(inner, handle) => {
+                {
+                    let mut state = inner.state.lock();
+                    state.shutdown = true;
+                    state.heap.items.clear();
                 }
-                // Join after flagging every shard so they wind down in parallel.
-                for shard in shards {
-                    if let Some(h) = shard.handle.lock().take() {
-                        let _ = h.join();
-                    }
+                inner.cond.notify_all();
+                if let Some(h) = handle.lock().take() {
+                    let _ = h.join();
                 }
             }
             Plane::Tasked(inner) => {
                 inner.shutdown.store(true, Ordering::Release);
-                for shard in &inner.shards {
-                    let mut st = shard.lock();
-                    st.heap.clear();
-                    st.armed = None;
-                }
+                let mut st = inner.state.lock();
+                st.heap.items.clear();
+                st.armed = None;
                 // Armed wake-ups still held by the external scheduler fire
-                // into `drain_shard`, see the shutdown flag, and no-op.
+                // into `drain`, see the shutdown flag, and no-op.
             }
         }
     }
 }
 
-/// Same near-future horizon as the threaded plane: wake-ups are armed this
-/// much early and the drainer spin-sleeps the remainder, so tasked-mode
-/// deadlines are honoured with the same precision.
-fn tasked_horizon() -> Duration {
+/// OS condvar and timer wake-ups overshoot by 50-100 µs, which at aggressive
+/// time scales dwarfs the modeled link latencies. Both drainers therefore
+/// wake this much before a deadline and spin-sleep the remainder
+/// (`sleep_until`) with the heap unlocked; a message pushed meanwhile is at
+/// most one spin window late, which is below the wake-up's own error. On
+/// single-core hosts the spin window is zero and this degrades to plain
+/// timed waits (see `clock::spin_window`).
+fn spin_horizon() -> Duration {
     crate::clock::spin_window() + Duration::from_micros(100)
 }
 
-/// Body of a tasked-shard wake-up: claim the shard, deliver everything due
+/// Arms a tasked-plane wake-up at `at`.
+fn arm(inner: &Arc<Tasked>, at: Instant) {
+    let task_inner = Arc::clone(inner);
+    (inner.spawner)(at, Box::new(move || drain(&task_inner)));
+}
+
+/// Body of a tasked-plane wake-up: claim the heap, deliver everything due
 /// (in `(due, seq)` order), then either re-arm for the next head or release.
 /// Yields back to the scheduler after [`DRAIN_BUDGET`] deliveries.
-fn drain_shard(inner: &Arc<TaskedInner>, idx: usize) {
+fn drain(inner: &Arc<Tasked>) {
     enum Step {
         Deliver(Envelope),
         Spin(Instant),
         Done,
     }
     {
-        let mut st = inner.shards[idx].lock();
+        let mut st = inner.state.lock();
         if st.draining {
             return; // an active drainer will see whatever we were armed for
         }
@@ -315,30 +294,29 @@ fn drain_shard(inner: &Arc<TaskedInner>, idx: usize) {
     let mut delivered = 0usize;
     loop {
         if inner.shutdown.load(Ordering::Acquire) {
-            let mut st = inner.shards[idx].lock();
-            st.heap.clear();
+            let mut st = inner.state.lock();
+            st.heap.items.clear();
             st.draining = false;
             return;
         }
         let step = {
-            let mut st = inner.shards[idx].lock();
+            let mut st = inner.state.lock();
             let now = Instant::now();
-            match st.heap.peek() {
+            match st.heap.due() {
                 None => {
                     st.draining = false;
                     Step::Done
                 }
-                Some(s) if s.due <= now => Step::Deliver(st.heap.pop().expect("peeked").env),
-                Some(s) if s.due - now <= tasked_horizon() => Step::Spin(s.due),
-                Some(s) => {
-                    // Future head: hand the shard back and arm a fresh
+                Some(due) if due <= now => Step::Deliver(st.heap.pop().expect("peeked")),
+                Some(due) if due - now <= spin_horizon() => Step::Spin(due),
+                Some(due) => {
+                    // Future head: hand the heap back and arm a fresh
                     // wake-up (the one that ran us was consumed above).
-                    let wake = s.due.checked_sub(tasked_horizon()).unwrap_or(s.due);
+                    let wake = due.checked_sub(spin_horizon()).unwrap_or(due);
                     st.draining = false;
                     st.armed = Some(wake);
                     drop(st);
-                    let task_inner = Arc::clone(inner);
-                    (inner.spawner)(wake, Box::new(move || drain_shard(&task_inner, idx)));
+                    arm(inner, wake);
                     return;
                 }
             }
@@ -348,16 +326,15 @@ fn drain_shard(inner: &Arc<TaskedInner>, idx: usize) {
                 (inner.deliver)(env);
                 delivered += 1;
                 if delivered >= DRAIN_BUDGET {
-                    // Cooperative yield: release the shard and reschedule
+                    // Cooperative yield: release the heap and reschedule
                     // immediately so other tasks get a worker.
                     let now = Instant::now();
                     {
-                        let mut st = inner.shards[idx].lock();
+                        let mut st = inner.state.lock();
                         st.draining = false;
                         st.armed = Some(now);
                     }
-                    let task_inner = Arc::clone(inner);
-                    (inner.spawner)(now, Box::new(move || drain_shard(&task_inner, idx)));
+                    arm(inner, now);
                     return;
                 }
             }
@@ -381,33 +358,26 @@ mod tests {
     use std::time::Duration;
 
     fn env(marker: u32) -> Envelope {
-        env_to(marker, 1)
-    }
-
-    fn env_to(marker: u32, dst: u32) -> Envelope {
         Envelope {
             src: NodeId(0),
-            dst: NodeId(dst),
+            dst: NodeId(1),
             sent_at: 0.0,
             payload: Payload::new("t", 0, marker),
         }
     }
 
-    fn collecting(shards: usize) -> (DelayQueue, Arc<PlMutex<Vec<u32>>>) {
+    fn collecting() -> (DelayQueue, Arc<PlMutex<Vec<u32>>>) {
         let got: Arc<PlMutex<Vec<u32>>> = Arc::new(PlMutex::new(Vec::new()));
         let sink = Arc::clone(&got);
-        let q = DelayQueue::start(
-            shards,
-            Arc::new(move |e: Envelope| {
-                sink.lock().push(*e.payload.downcast::<u32>().unwrap());
-            }),
-        );
+        let q = DelayQueue::start(Arc::new(move |e: Envelope| {
+            sink.lock().push(*e.payload.downcast::<u32>().unwrap());
+        }));
         (q, got)
     }
 
     #[test]
     fn delivers_in_deadline_order() {
-        let (q, got) = collecting(1);
+        let (q, got) = collecting();
         let now = Instant::now();
         q.push(now + Duration::from_millis(30), env(3));
         q.push(now + Duration::from_millis(10), env(1));
@@ -418,7 +388,7 @@ mod tests {
 
     #[test]
     fn equal_deadlines_preserve_send_order() {
-        let (q, got) = collecting(1);
+        let (q, got) = collecting();
         let due = Instant::now() + Duration::from_millis(15);
         for i in 0..8 {
             q.push(due, env(i));
@@ -428,42 +398,8 @@ mod tests {
     }
 
     #[test]
-    fn same_destination_keeps_order_across_shards() {
-        // With several shards, everything bound for one node still lands on
-        // one heap: equal deadlines must come out in send order.
-        let (q, got) = collecting(4);
-        let due = Instant::now() + Duration::from_millis(15);
-        for i in 0..8 {
-            q.push(due, env_to(i, 6));
-        }
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(*got.lock(), (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn distinct_destinations_each_keep_deadline_order() {
-        let (q, got) = collecting(4);
-        let now = Instant::now();
-        // Interleave pushes to four destinations with per-destination
-        // deadlines in reverse push order.
-        for dst in 0u32..4 {
-            q.push(now + Duration::from_millis(40), env_to(100 + dst, dst));
-        }
-        for dst in 0u32..4 {
-            q.push(now + Duration::from_millis(15), env_to(dst, dst));
-        }
-        std::thread::sleep(Duration::from_millis(150));
-        let got = got.lock();
-        for dst in 0u32..4 {
-            let early = got.iter().position(|&v| v == dst).expect("early");
-            let late = got.iter().position(|&v| v == 100 + dst).expect("late");
-            assert!(early < late, "dst {dst}: {got:?}");
-        }
-    }
-
-    #[test]
     fn shutdown_discards_pending() {
-        let (q, got) = collecting(2);
+        let (q, got) = collecting();
         q.push(Instant::now() + Duration::from_secs(60), env(9));
         q.shutdown();
         assert!(got.lock().is_empty());
@@ -471,7 +407,7 @@ mod tests {
 
     #[test]
     fn push_after_shutdown_is_ignored() {
-        let q = DelayQueue::start(2, Arc::new(|_| {}));
+        let q = DelayQueue::start(Arc::new(|_| {}));
         q.shutdown();
         q.push(Instant::now(), env(1)); // must not panic or hang
     }
@@ -490,11 +426,10 @@ mod tests {
         })
     }
 
-    fn collecting_tasked(shards: usize) -> (DelayQueue, Arc<PlMutex<Vec<u32>>>) {
+    fn collecting_tasked() -> (DelayQueue, Arc<PlMutex<Vec<u32>>>) {
         let got: Arc<PlMutex<Vec<u32>>> = Arc::new(PlMutex::new(Vec::new()));
         let sink = Arc::clone(&got);
         let q = DelayQueue::start_tasked(
-            shards,
             thread_spawner(),
             Arc::new(move |e: Envelope| {
                 sink.lock().push(*e.payload.downcast::<u32>().unwrap());
@@ -505,7 +440,7 @@ mod tests {
 
     #[test]
     fn tasked_delivers_in_deadline_order() {
-        let (q, got) = collecting_tasked(1);
+        let (q, got) = collecting_tasked();
         let now = Instant::now();
         q.push(now + Duration::from_millis(30), env(3));
         q.push(now + Duration::from_millis(10), env(1));
@@ -516,10 +451,10 @@ mod tests {
 
     #[test]
     fn tasked_equal_deadlines_preserve_send_order() {
-        let (q, got) = collecting_tasked(4);
+        let (q, got) = collecting_tasked();
         let due = Instant::now() + Duration::from_millis(15);
         for i in 0..8 {
-            q.push(due, env_to(i, 6));
+            q.push(due, env(i));
         }
         std::thread::sleep(Duration::from_millis(120));
         assert_eq!(*got.lock(), (0..8).collect::<Vec<_>>());
@@ -527,7 +462,7 @@ mod tests {
 
     #[test]
     fn tasked_shutdown_discards_pending_and_ignores_push() {
-        let (q, got) = collecting_tasked(2);
+        let (q, got) = collecting_tasked();
         q.push(Instant::now() + Duration::from_secs(60), env(9));
         q.shutdown();
         q.push(Instant::now(), env(1)); // must not panic or deliver
@@ -539,7 +474,7 @@ mod tests {
     fn tasked_drain_budget_yields_and_resumes() {
         // More due-now messages than one drain budget: everything must still
         // arrive, in order, across the yield boundary.
-        let (q, got) = collecting_tasked(1);
+        let (q, got) = collecting_tasked();
         let due = Instant::now();
         let n = (DRAIN_BUDGET * 2 + 10) as u32;
         for i in 0..n {
@@ -555,12 +490,9 @@ mod tests {
     #[test]
     fn immediate_deadline_delivers_quickly() {
         let (tx, rx) = crossbeam::channel::bounded(1);
-        let q = DelayQueue::start(
-            4,
-            Arc::new(move |e: Envelope| {
-                let _ = tx.send(*e.payload.downcast::<u32>().unwrap());
-            }),
-        );
+        let q = DelayQueue::start(Arc::new(move |e: Envelope| {
+            let _ = tx.send(*e.payload.downcast::<u32>().unwrap());
+        }));
         q.push(Instant::now(), env(5));
         let v = rx.recv_timeout(Duration::from_secs(2)).expect("delivered");
         assert_eq!(v, 5);

@@ -3,11 +3,10 @@
 //! Every modeled send touches per-pair connection state (`pair_last`), and —
 //! with coalescing armed — per-pair batch and gap-EWMA state. Behind one
 //! process-global mutex each, those maps serialize every sender in the
-//! process at swarm scale. This module replaces them with N-way lock
-//! striping over a packed `u64` pair key: the same pair always lands on the
-//! same stripe (preserving the per-pair critical-section protocol exactly),
-//! while unrelated pairs proceed in parallel. `shards == 1` degenerates to
-//! the legacy single-lock layout and serves as the differential oracle.
+//! process at swarm scale. This module replaces them with lock striping
+//! over a packed `u64` pair key: the same pair always lands on the same
+//! stripe (preserving the per-pair critical-section protocol exactly), while
+//! unrelated pairs proceed in parallel.
 
 use jsym_obs::Counter;
 use parking_lot::{Mutex, MutexGuard};
@@ -58,25 +57,24 @@ impl Hasher for PairKeyHasher {
 /// A pair-keyed map in this module: `HashMap` with the one-multiply hasher.
 pub(crate) type PairMap<V> = HashMap<u64, V, BuildHasherDefault<PairKeyHasher>>;
 
-/// N-way lock-striped `u64 → V` map. `N` is rounded up to a power of two so
-/// stripe selection is a mask; every stripe's map is pre-sized so the hot
-/// path never rehashes under a stripe lock.
+/// Stripe count: a power of two, so stripe selection is a mask.
+const STRIPES: usize = 64;
+
+/// Lock-striped `u64 → V` map over [`STRIPES`] stripes; every stripe's map
+/// is pre-sized so the hot path never rehashes under a stripe lock.
 pub(crate) struct Striped<V> {
     shards: Box<[Mutex<PairMap<V>>]>,
-    mask: u64,
     /// Stripe-lock acquisitions that found the lock held (`try_lock` failed
-    /// and we had to wait). The contention signal `ablate_contention` sweeps.
+    /// and we had to wait).
     contended: AtomicU64,
     /// Pre-resolved `net.shard.contended` handle (no-op when obs is off).
     obs_contended: Counter,
 }
 
 impl<V> Striped<V> {
-    /// `shards` is clamped to at least 1 and rounded up to a power of two;
-    /// each stripe's map is pre-sized to `capacity` entries.
-    pub(crate) fn new(shards: usize, capacity: usize, obs_contended: Counter) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        let shards = (0..n)
+    /// Each stripe's map is pre-sized to `capacity` entries.
+    pub(crate) fn new(capacity: usize, obs_contended: Counter) -> Self {
+        let shards = (0..STRIPES)
             .map(|_| {
                 Mutex::new(PairMap::with_capacity_and_hasher(
                     capacity,
@@ -87,21 +85,20 @@ impl<V> Striped<V> {
             .into_boxed_slice();
         Striped {
             shards,
-            mask: (n - 1) as u64,
             contended: AtomicU64::new(0),
             obs_contended,
         }
     }
 
     #[inline]
-    fn shard(&self, key: u64) -> &Mutex<PairMap<V>> {
+    fn index(key: u64) -> usize {
         // High bits of the mix are the well-distributed ones.
-        &self.shards[(key.wrapping_mul(MIX) >> 32 & self.mask) as usize]
+        (key.wrapping_mul(MIX) >> 32) as usize & (STRIPES - 1)
     }
 
     /// Locks the stripe owning `key`, counting contended acquisitions.
     pub(crate) fn lock(&self, key: u64) -> MutexGuard<'_, PairMap<V>> {
-        let shard = self.shard(key);
+        let shard = &self.shards[Self::index(key)];
         match shard.try_lock() {
             Some(g) => g,
             None => {
@@ -112,7 +109,7 @@ impl<V> Striped<V> {
         }
     }
 
-    /// Stripe count (after rounding).
+    /// Stripe count.
     pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -183,7 +180,7 @@ mod tests {
 
     #[test]
     fn same_key_always_lands_on_same_stripe() {
-        let s: Striped<u32> = Striped::new(8, 4, counter());
+        let s: Striped<u32> = Striped::new(4, counter());
         let key = pair_key(NodeId(7), NodeId(13));
         s.lock(key).insert(key, 42);
         // Any later lock of the same key must see the entry.
@@ -191,21 +188,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_rounds_to_power_of_two_and_clamps() {
-        assert_eq!(Striped::<u32>::new(0, 0, counter()).shard_count(), 1);
-        assert_eq!(Striped::<u32>::new(1, 0, counter()).shard_count(), 1);
-        assert_eq!(Striped::<u32>::new(5, 0, counter()).shard_count(), 8);
-        assert_eq!(Striped::<u32>::new(64, 0, counter()).shard_count(), 64);
-    }
-
-    #[test]
     fn distinct_pairs_spread_over_stripes() {
-        let s: Striped<u32> = Striped::new(64, 4, counter());
         let mut used = std::collections::HashSet::new();
         for src in 0..64u32 {
             for dst in 0..64u32 {
-                let key = pair_key(NodeId(src), NodeId(dst));
-                used.insert((key.wrapping_mul(MIX) >> 32 & s.mask) as usize);
+                used.insert(Striped::<u32>::index(pair_key(NodeId(src), NodeId(dst))));
             }
         }
         assert!(
@@ -217,7 +204,7 @@ mod tests {
 
     #[test]
     fn contended_counts_waited_acquisitions() {
-        let s: std::sync::Arc<Striped<u32>> = std::sync::Arc::new(Striped::new(1, 4, counter()));
+        let s: std::sync::Arc<Striped<u32>> = std::sync::Arc::new(Striped::new(4, counter()));
         let key = pair_key(NodeId(0), NodeId(1));
         let guard = s.lock(key);
         let s2 = std::sync::Arc::clone(&s);
