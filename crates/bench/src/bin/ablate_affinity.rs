@@ -25,11 +25,11 @@
 use jsym_bench::write_json;
 use jsym_core::testkit::register_test_classes;
 use jsym_core::{
-    snapshot_state, AffinityConfig, Deployment, InvokeCtx, JsClass, JsError, JsObj, JsShell,
+    encode_state, AffinityConfig, Deployment, InvokeCtx, JsClass, JsError, JsObj, JsShell,
     MachineConfig, Placement, Value,
 };
 use jsym_net::{LinkClass, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Nested calls per `drive` request to a dominant target (9:1 skew against
 /// [`MINORITY_REPS`], scaled up so targets cross the hotness floor while
@@ -40,8 +40,10 @@ const MINORITY_REPS: i64 = 2;
 
 /// Issues batched nested invokes: `drive(reps, h1, h2, ...)` invokes
 /// `add(1)` on every handle `reps` times from this object's node.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 struct Driver;
+
+jsym_core::impl_state!(Driver {});
 
 impl JsClass for Driver {
     fn class_name(&self) -> &str {
@@ -78,7 +80,7 @@ impl JsClass for Driver {
     }
 
     fn snapshot(&self) -> jsym_core::Result<Vec<u8>> {
-        snapshot_state(self)
+        encode_state(self)
     }
 }
 

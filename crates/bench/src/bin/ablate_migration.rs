@@ -8,15 +8,33 @@
 
 use jsym_bench::write_json;
 use jsym_core::testkit::register_test_classes;
-use jsym_core::{JsObj, JsShell, MachineConfig, MigrateTarget, Placement, Value};
+use jsym_core::{
+    Deployment, JsObj, JsShell, MachineConfig, MigrateTarget, Placement, RuntimeEvent, Value,
+};
 use jsym_net::{LinkClass, NodeId};
 use serde::Serialize;
 
 #[derive(Serialize)]
 struct Row {
+    /// Bytes the object holds (the `Blob` constructor argument).
     state_bytes: usize,
+    /// Bytes the migration shipped, as the source PubOA logged them.
+    shipped_bytes: usize,
     link: String,
     virt_seconds: f64,
+}
+
+/// `state_bytes` of the most recent `Migrated` event.
+fn last_shipped(d: &Deployment) -> usize {
+    d.events()
+        .tail(8)
+        .into_iter()
+        .rev()
+        .find_map(|(_, e)| match e {
+            RuntimeEvent::Migrated { state_bytes, .. } => Some(state_bytes),
+            _ => None,
+        })
+        .expect("the migration that just returned was logged")
 }
 
 fn main() {
@@ -42,7 +60,10 @@ fn main() {
     let clock = d.clock().clone();
     let mut rows = Vec::new();
 
-    println!("{:>12} {:>10} {:>12}", "state[B]", "link", "time[s]");
+    println!(
+        "{:>12} {:>12} {:>10} {:>12}",
+        "state[B]", "shipped[B]", "link", "time[s]"
+    );
     for &size in &[1usize << 10, 1 << 14, 1 << 18, 1 << 20, 4 << 20] {
         let obj = JsObj::create(
             &reg,
@@ -56,22 +77,24 @@ fn main() {
         let t0 = clock.now();
         obj.migrate(MigrateTarget::ToPhys(NodeId(1)), None).unwrap();
         let fast = clock.now() - t0;
+        let fast_shipped = last_shipped(&d);
         // Across to the slow segment: 1 → 2.
         let t0 = clock.now();
         obj.migrate(MigrateTarget::ToPhys(NodeId(2)), None).unwrap();
         let slow = clock.now() - t0;
-        println!("{:>12} {:>10} {:>12.4}", size, "lan100", fast);
-        println!("{:>12} {:>10} {:>12.4}", size, "lan10", slow);
-        rows.push(Row {
-            state_bytes: size,
-            link: "lan100".into(),
-            virt_seconds: fast,
-        });
-        rows.push(Row {
-            state_bytes: size,
-            link: "lan10".into(),
-            virt_seconds: slow,
-        });
+        let slow_shipped = last_shipped(&d);
+        for (link, shipped, secs) in [
+            ("lan100", fast_shipped, fast),
+            ("lan10", slow_shipped, slow),
+        ] {
+            println!("{size:>12} {shipped:>12} {link:>10} {secs:>12.4}");
+            rows.push(Row {
+                state_bytes: size,
+                shipped_bytes: shipped,
+                link: link.into(),
+                virt_seconds: secs,
+            });
+        }
         obj.free().unwrap();
     }
 

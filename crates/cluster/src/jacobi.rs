@@ -9,7 +9,7 @@
 //! residual — exercising all three invocation modes per iteration.
 
 use jsym_col::{ChunkSpec, DistCol};
-use jsym_core::{snapshot_state, Deployment, InvokeCtx, JsClass, JsError, Value};
+use jsym_core::{encode_state, Deployment, InvokeCtx, JsClass, JsError, Value};
 use jsym_vda::Cluster;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -33,6 +33,17 @@ pub struct JacobiWorker {
     /// Skip actual arithmetic (cost still modeled) for large sweeps.
     verify: bool,
 }
+
+jsym_core::impl_state!(JacobiWorker {
+    rows,
+    cols,
+    is_top,
+    is_bottom,
+    grid,
+    ghost_above,
+    ghost_below,
+    verify
+});
 
 impl JacobiWorker {
     /// Builds a slab from `[rows, cols, is_top, is_bottom, verify]`.
@@ -153,21 +164,16 @@ impl JsClass for JacobiWorker {
     }
 
     fn snapshot(&self) -> jsym_core::Result<Vec<u8>> {
-        snapshot_state(self)
+        encode_state(self)
     }
 }
 
 /// Registers the Jacobi classes with a deployment.
 pub fn register_jacobi_classes(deployment: &Deployment) {
-    deployment.classes().register_raw(
+    deployment.classes().register_class::<JacobiWorker, _>(
         "JacobiWorker",
         Some(JACOBI_ARTIFACT),
-        |args| Ok(Box::new(JacobiWorker::from_args(args)?) as Box<dyn JsClass>),
-        |bytes| {
-            let w: JacobiWorker =
-                serde_json::from_slice(bytes).map_err(|e| JsError::Serialization(e.to_string()))?;
-            Ok(Box::new(w) as Box<dyn JsClass>)
-        },
+        JacobiWorker::from_args,
     );
 }
 

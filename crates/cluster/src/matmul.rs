@@ -3,7 +3,7 @@
 //! a `DistCol`-based collective variant of the same multiplication.
 
 use jsym_col::{partition_weighted, DistCol};
-use jsym_core::{snapshot_state, Deployment, InvokeCtx, JsClass, JsError, JsObj, Placement, Value};
+use jsym_core::{encode_state, Deployment, InvokeCtx, JsClass, JsError, JsObj, Placement, Value};
 use jsym_sysmon::SimMachine;
 use jsym_vda::Cluster;
 use serde::{Deserialize, Serialize};
@@ -26,6 +26,13 @@ pub struct Matrix {
     /// by large benchmark runs where the numeric result is not checked.
     verify: bool,
 }
+
+jsym_core::impl_state!(Matrix {
+    dim_a2,
+    dim_b2,
+    b,
+    verify
+});
 
 impl Matrix {
     /// Builds an empty Matrix slave (B arrives via `init`).
@@ -119,7 +126,7 @@ impl JsClass for Matrix {
     }
 
     fn snapshot(&self) -> jsym_core::Result<Vec<u8>> {
-        snapshot_state(self)
+        encode_state(self)
     }
 }
 

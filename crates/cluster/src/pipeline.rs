@@ -7,7 +7,7 @@
 //! slow links. Used by the `pipeline_site` example and the locality
 //! ablation.
 
-use jsym_core::{snapshot_state, InvokeCtx, JsClass, JsError, Value};
+use jsym_core::{encode_state, InvokeCtx, JsClass, JsError, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -25,6 +25,13 @@ pub struct Stage {
     next: Option<jsym_core::ObjectHandle>,
     processed: u64,
 }
+
+jsym_core::impl_state!(Stage {
+    stage_id,
+    flops_per_element,
+    next,
+    processed
+});
 
 impl Stage {
     /// Builds a stage from `[stage_id, flops_per_element, next_handle?]`.
@@ -84,7 +91,7 @@ impl JsClass for Stage {
     }
 
     fn snapshot(&self) -> jsym_core::Result<Vec<u8>> {
-        snapshot_state(self)
+        encode_state(self)
     }
 }
 

@@ -179,6 +179,17 @@ pub struct ColChunk {
     data: Value,
 }
 
+jsym_core::impl_state!(ColChunk { data });
+
+impl ColChunk {
+    /// Builds a chunk holding `[data]` (`Null` when absent).
+    pub fn from_args(args: &[Value]) -> Self {
+        ColChunk {
+            data: args.first().cloned().unwrap_or(Value::Null),
+        }
+    }
+}
+
 fn chunk_len(data: &Value) -> usize {
     match data {
         Value::F32Vec(v) => v.len(),
@@ -269,7 +280,7 @@ impl JsClass for ColChunk {
     }
 
     fn snapshot(&self) -> Result<Vec<u8>> {
-        jsym_core::snapshot_state(self)
+        jsym_core::encode_state(self)
     }
 }
 
@@ -278,11 +289,7 @@ impl JsClass for ColChunk {
 pub fn register_col_classes(deployment: &Deployment) {
     deployment
         .classes()
-        .register_class::<ColChunk, _>(COL_CHUNK_CLASS, None, |args| {
-            Ok(ColChunk {
-                data: args.first().cloned().unwrap_or(Value::Null),
-            })
-        });
+        .register_class::<ColChunk, _>(COL_CHUNK_CLASS, None, |args| Ok(ColChunk::from_args(args)));
 }
 
 /// Placement and sizing of one chunk at creation time.

@@ -7,16 +7,17 @@
 //! serialized for migration and persistence. All three are reproduced by the
 //! [`ClassRegistry`]: classes register a constructor and a restore function,
 //! plus the name of the codebase artifact that carries their "byte-code".
+//! State travels in the binary codec of [`crate::state`].
 
 use crate::error::JsError;
 use crate::ids::ObjectHandle;
 use crate::intern::Sym;
+use crate::state::{decode_state, State};
 use crate::value::Value;
 use crate::Result;
 use jsym_net::{NodeId, VirtTime};
 use jsym_sysmon::SimMachine;
 use parking_lot::RwLock;
-use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -28,9 +29,8 @@ pub trait ObjectCaller: Send + Sync {
     fn call(&self, handle: ObjectHandle, method: &str, args: &[Value]) -> Result<Value>;
 }
 
-/// A caller that rejects nested invocations; used in unit tests and during
-/// restore paths where no runtime is attached.
-#[cfg_attr(not(test), allow(dead_code))]
+/// A caller that rejects nested invocations, for instances no runtime hosts
+/// ([`crate::testkit::invoke_detached`]).
 pub(crate) struct NoCaller;
 
 impl ObjectCaller for NoCaller {
@@ -99,8 +99,9 @@ impl<'a> InvokeCtx<'a> {
 /// whose instances JavaSymphony creates remotely.
 ///
 /// Implementations must be `Send` (instances move between executor threads
-/// and nodes) and should be serializable; [`ClassRegistry::register_class`]
-/// wires serde-based snapshot/restore automatically.
+/// and nodes). A class whose state is [`State`] returns
+/// [`encode_state(self)`](crate::encode_state) from `snapshot`, and
+/// [`ClassRegistry::register_class`] derives the matching restore.
 pub trait JsClass: Send {
     /// The class name this instance was registered under.
     fn class_name(&self) -> &str;
@@ -118,9 +119,8 @@ type Ctor = dyn Fn(&[Value]) -> Result<Box<dyn JsClass>> + Send + Sync;
 type Restore = dyn Fn(&[u8]) -> Result<Box<dyn JsClass>> + Send + Sync;
 type StaticCtor = dyn Fn() -> Result<Box<dyn JsClass>> + Send + Sync;
 
-#[derive(Clone)]
 struct ClassDef {
-    artifact: Option<String>,
+    artifact: Option<Arc<str>>,
     ctor: Arc<Ctor>,
     restore: Arc<Restore>,
     /// Constructor of the class's *static context* — one instance per node,
@@ -148,11 +148,14 @@ impl ClassRegistry {
         }
     }
 
-    fn def(&self, class: Sym) -> Result<ClassDef> {
+    /// Reads one thing out of a class's definition under the read lock.
+    /// Callers take an `Arc` out and call it after the lock is gone: a
+    /// constructor is user code and may itself register classes.
+    fn with_def<R>(&self, class: Sym, read: impl FnOnce(&ClassDef) -> R) -> Result<R> {
         self.map
             .read()
             .get(&class)
-            .cloned()
+            .map(read)
             .ok_or_else(|| JsError::UnknownClass(class.as_str().to_owned()))
     }
 
@@ -172,7 +175,7 @@ impl ClassRegistry {
         self.map.write().insert(
             Sym::intern(name),
             ClassDef {
-                artifact: artifact.map(str::to_owned),
+                artifact: artifact.map(Arc::from),
                 ctor: Arc::new(ctor),
                 restore: Arc::new(restore),
                 static_ctor: None,
@@ -202,7 +205,7 @@ impl ClassRegistry {
     }
 
     pub(crate) fn create_static_sym(&self, class: Sym) -> Result<Box<dyn JsClass>> {
-        match self.def(class)?.static_ctor {
+        match self.with_def(class, |d| d.static_ctor.clone())? {
             Some(ctor) => ctor(),
             None => Err(JsError::NoSuchMethod {
                 class: class.as_str().to_owned(),
@@ -217,28 +220,22 @@ impl ClassRegistry {
     }
 
     pub(crate) fn has_static_sym(&self, class: Sym) -> bool {
-        self.map
-            .read()
-            .get(&class)
-            .is_some_and(|d| d.static_ctor.is_some())
+        self.with_def(class, |d| d.static_ctor.is_some())
+            .unwrap_or(false)
     }
 
-    /// Registers a serde-serializable class: `ctor` builds an instance from
-    /// constructor arguments; restore is derived from `Deserialize`.
+    /// Registers a class whose state is [`State`]: `ctor` builds an instance
+    /// from constructor arguments; restore is [`decode_state`].
     pub fn register_class<T, C>(&self, name: &str, artifact: Option<&str>, ctor: C)
     where
-        T: JsClass + Serialize + DeserializeOwned + 'static,
+        T: JsClass + State + 'static,
         C: Fn(&[Value]) -> Result<T> + Send + Sync + 'static,
     {
         self.register_raw(
             name,
             artifact,
             move |args| Ok(Box::new(ctor(args)?) as Box<dyn JsClass>),
-            |bytes| {
-                let v: T = serde_json::from_slice(bytes)
-                    .map_err(|e| JsError::Serialization(e.to_string()))?;
-                Ok(Box::new(v) as Box<dyn JsClass>)
-            },
+            |bytes| Ok(Box::new(decode_state::<T>(bytes)?) as Box<dyn JsClass>),
         );
     }
 
@@ -248,7 +245,8 @@ impl ClassRegistry {
     }
 
     pub(crate) fn create_sym(&self, class: Sym, args: &[Value]) -> Result<Box<dyn JsClass>> {
-        (self.def(class)?.ctor)(args)
+        let ctor = self.with_def(class, |d| Arc::clone(&d.ctor))?;
+        ctor(args)
     }
 
     /// Reconstructs an instance from a state snapshot (migration arrival,
@@ -258,20 +256,17 @@ impl ClassRegistry {
     }
 
     pub(crate) fn restore_sym(&self, class: Sym, bytes: &[u8]) -> Result<Box<dyn JsClass>> {
-        (self.def(class)?.restore)(bytes)
+        let restore = self.with_def(class, |d| Arc::clone(&d.restore))?;
+        restore(bytes)
     }
 
     /// The artifact carrying this class, or `None` for preloaded classes.
-    pub fn artifact_of(&self, name: &str) -> Result<Option<String>> {
+    pub fn artifact_of(&self, name: &str) -> Result<Option<Arc<str>>> {
         self.artifact_of_sym(Sym::intern(name))
     }
 
-    pub(crate) fn artifact_of_sym(&self, class: Sym) -> Result<Option<String>> {
-        self.map
-            .read()
-            .get(&class)
-            .map(|d| d.artifact.clone())
-            .ok_or_else(|| JsError::UnknownClass(class.as_str().to_owned()))
+    pub(crate) fn artifact_of_sym(&self, class: Sym) -> Result<Option<Arc<str>>> {
+        self.with_def(class, |d| d.artifact.clone())
     }
 
     /// Whether the class is registered.
@@ -310,7 +305,9 @@ impl std::fmt::Debug for ClassRegistry {
     }
 }
 
-/// Serializes a `Serialize` state for [`JsClass::snapshot`] implementations.
+/// Serializes a `Serialize` state as JSON. Nothing in the runtime reads or
+/// writes this format any more ([`crate::encode_state`] replaced it); it is
+/// kept for the benchmark harness, which still calls it.
 pub fn snapshot_state<T: Serialize>(state: &T) -> Result<Vec<u8>> {
     serde_json::to_vec(state).map_err(|e| JsError::Serialization(e.to_string()))
 }
@@ -318,7 +315,7 @@ pub fn snapshot_state<T: Serialize>(state: &T) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{test_ctx_machine, Counter};
+    use crate::testkit::{invoke_detached, test_ctx_machine, Counter};
 
     fn registry() -> ClassRegistry {
         let reg = ClassRegistry::new();
@@ -333,12 +330,12 @@ mod tests {
         let reg = registry();
         let mut obj = reg.create("Counter", &[Value::I64(10)]).unwrap();
         assert_eq!(obj.class_name(), "Counter");
-        let machine = test_ctx_machine();
-        let caller = NoCaller;
-        let mut ctx = InvokeCtx::new(&machine, NodeId(0), &caller);
-        let v = obj.invoke("add", &[Value::I64(5)], &mut ctx).unwrap();
+        let v = invoke_detached(&mut *obj, "add", &[Value::I64(5)]).unwrap();
         assert_eq!(v, Value::I64(15));
-        assert_eq!(obj.invoke("get", &[], &mut ctx).unwrap(), Value::I64(15));
+        assert_eq!(
+            invoke_detached(&mut *obj, "get", &[]).unwrap(),
+            Value::I64(15)
+        );
     }
 
     #[test]
@@ -349,11 +346,8 @@ mod tests {
             Err(JsError::UnknownClass(_))
         ));
         let mut obj = reg.create("Counter", &[]).unwrap();
-        let machine = test_ctx_machine();
-        let caller = NoCaller;
-        let mut ctx = InvokeCtx::new(&machine, NodeId(0), &caller);
         assert!(matches!(
-            obj.invoke("fly", &[], &mut ctx),
+            invoke_detached(&mut *obj, "fly", &[]),
             Err(JsError::NoSuchMethod { .. })
         ));
     }
@@ -362,22 +356,24 @@ mod tests {
     fn snapshot_restore_round_trip() {
         let reg = registry();
         let mut obj = reg.create("Counter", &[Value::I64(3)]).unwrap();
-        let machine = test_ctx_machine();
-        let caller = NoCaller;
-        let mut ctx = InvokeCtx::new(&machine, NodeId(0), &caller);
-        obj.invoke("add", &[Value::I64(4)], &mut ctx).unwrap();
+        invoke_detached(&mut *obj, "add", &[Value::I64(4)]).unwrap();
         let state = obj.snapshot().unwrap();
         let mut back = reg.restore("Counter", &state).unwrap();
-        assert_eq!(back.invoke("get", &[], &mut ctx).unwrap(), Value::I64(7));
+        assert_eq!(
+            invoke_detached(&mut *back, "get", &[]).unwrap(),
+            Value::I64(7)
+        );
     }
 
     #[test]
     fn restore_garbage_fails_cleanly() {
         let reg = registry();
-        assert!(matches!(
-            reg.restore("Counter", b"not json"),
-            Err(JsError::Serialization(_))
-        ));
+        for garbage in [&b""[..], b"not json", b"\x01short"] {
+            assert!(matches!(
+                reg.restore("Counter", garbage),
+                Err(JsError::Serialization(_))
+            ));
+        }
     }
 
     #[test]

@@ -65,6 +65,7 @@ mod recovery;
 mod registration;
 mod runtime;
 mod shell;
+pub mod state;
 mod statics;
 pub mod testkit;
 mod value;
@@ -81,6 +82,7 @@ pub use jsobj::{JsObj, MigrateTarget, PlacedIn, Placement};
 pub use persist::ObjectStore;
 pub use registration::JsRegistration;
 pub use shell::{AffinityConfig, AffinityStats, Deployment, JsShell, MachineConfig, NodeStats};
+pub use state::{encode_state, State};
 pub use statics::JsStaticRef;
 pub use value::{Args, Value};
 

@@ -47,7 +47,8 @@ impl ObjectStore {
         }
     }
 
-    /// A store that also spills every object to `dir` as JSON-state files,
+    /// A store that also spills every object to `dir` as `<key>.<class>.state`
+    /// files (the bytes of [`crate::encode_state`]),
     /// so persistence survives the process in the way the paper intends.
     pub fn on_disk(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();

@@ -316,7 +316,7 @@ fn check_class_available(shared: &NodeShared, class: Sym) -> Result<()> {
     match shared.classes.artifact_of_sym(class)? {
         None => Ok(()), // preloaded system class
         Some(artifact) => {
-            if shared.loaded.lock().contains(&artifact) {
+            if shared.loaded.lock().contains(&*artifact) {
                 Ok(())
             } else {
                 Err(JsError::ClassNotLoaded {

@@ -3,12 +3,13 @@
 //! Public so integration tests, examples and benches across the workspace
 //! can share them; not intended for production use.
 
-use crate::class::{snapshot_state, InvokeCtx, JsClass};
+use crate::class::{InvokeCtx, JsClass, NoCaller};
 use crate::error::JsError;
 use crate::shell::{Deployment, JsShell, MachineConfig};
+use crate::state::encode_state;
 use crate::value::Value;
 use crate::Result;
-use jsym_net::{SimClock, TimeScale};
+use jsym_net::{NodeId, SimClock, TimeScale};
 use jsym_sysmon::{LoadModel, LoadProfile, MachineSpec, SimMachine};
 use serde::{Deserialize, Serialize};
 
@@ -17,6 +18,8 @@ use serde::{Deserialize, Serialize};
 pub struct Counter {
     value: i64,
 }
+
+crate::impl_state!(Counter { value });
 
 impl Counter {
     /// Builds a counter from optional `[initial]` args.
@@ -79,7 +82,7 @@ impl JsClass for Counter {
     }
 
     fn snapshot(&self) -> Result<Vec<u8>> {
-        snapshot_state(self)
+        encode_state(self)
     }
 }
 
@@ -88,6 +91,8 @@ impl JsClass for Counter {
 pub struct Blob {
     data: Vec<u8>,
 }
+
+crate::impl_state!(Blob { data });
 
 impl Blob {
     /// Builds a blob of `[size]` bytes.
@@ -121,7 +126,7 @@ impl JsClass for Blob {
     }
 
     fn snapshot(&self) -> Result<Vec<u8>> {
-        snapshot_state(self)
+        encode_state(self)
     }
 }
 
@@ -170,5 +175,17 @@ pub fn test_ctx_machine() -> SimMachine {
         MachineSpec::generic("test-machine", 1000.0, 512.0),
         LoadModel::new(LoadProfile::Idle, 0),
         SimClock::new(TimeScale::new(1e-6)),
+    )
+}
+
+/// Invokes `method` on an instance no node hosts, on a fresh
+/// [`test_ctx_machine`] with nested invocations refused — for tests that
+/// restore a state by hand and read the result back.
+pub fn invoke_detached(obj: &mut dyn JsClass, method: &str, args: &[Value]) -> Result<Value> {
+    let machine = test_ctx_machine();
+    obj.invoke(
+        method,
+        args,
+        &mut InvokeCtx::new(&machine, NodeId(0), &NoCaller),
     )
 }

@@ -183,8 +183,10 @@ proptest! {
 /// of the chain and adds 1 — each hop holds a worker in a blocking reply
 /// wait, so a chain deeper than the pool deadlocks unless blocked workers
 /// are compensated with spares.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Debug)]
 struct ChainNode;
+
+jsym_core::impl_state!(ChainNode {});
 
 impl JsClass for ChainNode {
     fn class_name(&self) -> &str {
@@ -212,7 +214,7 @@ impl JsClass for ChainNode {
     }
 
     fn snapshot(&self) -> Result<Vec<u8>> {
-        jsym_core::snapshot_state(self)
+        jsym_core::encode_state(self)
     }
 }
 

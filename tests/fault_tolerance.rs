@@ -4,6 +4,7 @@
 
 use jsym_core::testkit::{register_test_classes, shell_with_idle_machines};
 use jsym_core::{Deployment, JsError, JsObj, Placement, Value};
+use jsym_net::NodeId;
 use jsym_vda::{ManagerScope, VdaEvent};
 use std::time::Duration;
 
@@ -179,5 +180,63 @@ fn double_failure_leaves_last_node_standing() {
         cluster.backup_manager().is_none(),
         "one node left: no backup"
     );
+    d.shutdown();
+}
+
+#[test]
+fn checkpointed_counter_and_float_chunk_recover_after_a_kill() {
+    let d = shell_with_idle_machines(3)
+        .time_scale(1e-4)
+        .monitor_period(2.0)
+        .failure_timeout(50.0)
+        .checkpointing(10.0)
+        .boot();
+    register_test_classes(&d);
+    jsym_col::register_col_classes(&d);
+    let _cluster = d.vda().request_cluster(3, None).unwrap();
+    let reg = d.register_app().unwrap();
+    let doomed = NodeId(2);
+    let counter = JsObj::create(
+        &reg,
+        "Counter",
+        &[Value::I64(41)],
+        Placement::OnPhys(doomed),
+        None,
+    )
+    .unwrap();
+    let floats: Vec<f32> = (0..1000).map(|i| i as f32 * 0.5 - 7.25).collect();
+    let chunk = JsObj::create(
+        &reg,
+        jsym_col::COL_CHUNK_CLASS,
+        &[Value::floats(floats.clone())],
+        Placement::OnPhys(doomed),
+        None,
+    )
+    .unwrap();
+    wait_until(
+        || {
+            d.store()
+                .keys()
+                .iter()
+                .filter(|k| k.starts_with("__ckpt_"))
+                .count()
+                >= 2
+        },
+        "both objects checkpointed",
+    );
+    d.kill_node(doomed);
+    wait_until(|| d.vda().is_failed(doomed), "failure detection");
+    for obj in [&counter, &chunk] {
+        wait_until(
+            || obj.get_location().map(|l| l != doomed).unwrap_or(false),
+            "recovery from the checkpoint",
+        );
+    }
+    assert_eq!(counter.sinvoke("get", &[]).unwrap(), Value::I64(41));
+    assert_eq!(
+        chunk.sinvoke("col_get", &[]).unwrap(),
+        Value::floats(floats)
+    );
+    assert_eq!(chunk.sinvoke("col_len", &[]).unwrap(), Value::I64(1000));
     d.shutdown();
 }

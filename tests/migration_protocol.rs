@@ -2,8 +2,11 @@
 //! (paper Figures 3–4): concurrent invokers, chained migrations, and
 //! foreign-handle resolution through the origin AppOA.
 
+use jsym_core::state::{Reader, State, Writer};
 use jsym_core::testkit::{register_test_classes, shell_with_idle_machines};
-use jsym_core::{JsObj, MigrateTarget, Placement, Value};
+use jsym_core::{
+    encode_state, InvokeCtx, JsClass, JsError, JsObj, MigrateTarget, Placement, RuntimeEvent, Value,
+};
 use jsym_net::NodeId;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -134,5 +137,99 @@ fn persistence_waits_for_running_methods() {
     h.get_result().unwrap();
     let copy = reg.load_stored(&key, Placement::Local, None).unwrap();
     assert_eq!(copy.sinvoke("get", &[]).unwrap(), Value::I64(0));
+    d.shutdown();
+}
+
+#[test]
+fn blob_bytes_survive_migration_at_every_size() {
+    let d = shell_with_idle_machines(2).boot();
+    register_test_classes(&d);
+    let reg = d.register_app().unwrap();
+    let cb = reg.codebase();
+    cb.add("blob.jar", 1000);
+    for m in d.machines() {
+        cb.load_phys(m).unwrap();
+    }
+    for size in [0usize, 1, 16 << 10, 4 << 20] {
+        let blob = JsObj::create(
+            &reg,
+            "Blob",
+            &[Value::I64(size as i64)],
+            Placement::OnPhys(NodeId(0)),
+            None,
+        )
+        .unwrap();
+        blob.sinvoke("fill", &[Value::I64(0x5A)]).unwrap();
+        blob.migrate(MigrateTarget::ToPhys(NodeId(1)), None)
+            .unwrap();
+        assert_eq!(blob.get_location().unwrap(), NodeId(1));
+        assert_eq!(blob.sinvoke("size", &[]).unwrap(), Value::I64(size as i64));
+        assert_eq!(
+            blob.sinvoke("checksum", &[]).unwrap(),
+            Value::I64(size as i64 * 0x5A),
+            "{size} B"
+        );
+        // What left the node is the state itself: version, count, the bytes.
+        let shipped = d
+            .events()
+            .all()
+            .into_iter()
+            .rev()
+            .find_map(|(_, e)| match e {
+                RuntimeEvent::Migrated { state_bytes, .. } => Some(state_bytes),
+                _ => None,
+            });
+        assert_eq!(shipped, Some(1 + 4 + size));
+        blob.free().unwrap();
+    }
+    d.shutdown();
+}
+
+/// State that encodes but never decodes: every restore of it fails.
+struct Brittle(i64);
+
+impl State for Brittle {
+    fn encode(&self, w: &mut Writer) {
+        self.0.encode(w);
+    }
+
+    fn decode(_: &mut Reader<'_>) -> jsym_core::Result<Self> {
+        Err(JsError::Serialization("a Brittle never comes back".into()))
+    }
+}
+
+impl JsClass for Brittle {
+    fn class_name(&self) -> &str {
+        "Brittle"
+    }
+
+    fn invoke(&mut self, _: &str, _: &[Value], _: &mut InvokeCtx<'_>) -> jsym_core::Result<Value> {
+        self.0 += 1;
+        Ok(Value::I64(self.0))
+    }
+
+    fn snapshot(&self) -> jsym_core::Result<Vec<u8>> {
+        encode_state(self)
+    }
+}
+
+#[test]
+fn failed_restore_at_the_destination_leaves_the_object_at_the_source() {
+    let d = shell_with_idle_machines(2).boot();
+    d.classes()
+        .register_class::<Brittle, _>("Brittle", None, |_| Ok(Brittle(0)));
+    let reg = d.register_app().unwrap();
+    let obj = JsObj::create(&reg, "Brittle", &[], Placement::OnPhys(NodeId(0)), None).unwrap();
+    assert_eq!(obj.sinvoke("bump", &[]).unwrap(), Value::I64(1));
+    let refused = obj.migrate(MigrateTarget::ToPhys(NodeId(1)), None);
+    assert!(
+        matches!(refused, Err(JsError::Serialization(_))),
+        "{refused:?}"
+    );
+    // Still where it was, with its state, and still answering.
+    assert_eq!(obj.get_location().unwrap(), NodeId(0));
+    assert_eq!(obj.sinvoke("bump", &[]).unwrap(), Value::I64(2));
+    assert_eq!(d.node_stats(NodeId(0)).unwrap().migrations_out, 0);
+    assert_eq!(d.node_stats(NodeId(1)).unwrap().migrations_in, 0);
     d.shutdown();
 }

@@ -128,3 +128,40 @@ fn migrated_object_can_still_be_stored_and_loaded() {
     assert_eq!(copy.get_location().unwrap(), NodeId(1));
     d.shutdown();
 }
+
+#[test]
+fn stored_blob_loads_on_another_node_with_its_bytes() {
+    let d = shell_with_idle_machines(2).boot();
+    register_test_classes(&d);
+    let reg = d.register_app().unwrap();
+    let cb = reg.codebase();
+    cb.add("blob.jar", 1000);
+    for m in d.machines() {
+        cb.load_phys(m).unwrap();
+    }
+    let size = 16 << 10;
+    let blob = JsObj::create(
+        &reg,
+        "Blob",
+        &[Value::I64(size)],
+        Placement::OnPhys(NodeId(0)),
+        None,
+    )
+    .unwrap();
+    blob.sinvoke("fill", &[Value::I64(3)]).unwrap();
+    let key = blob.store(None).unwrap();
+    // The store holds the state itself: version, count, the bytes.
+    assert_eq!(
+        d.store().get(&key).unwrap().state.len(),
+        1 + 4 + size as usize
+    );
+    let copy = reg
+        .load_stored(&key, Placement::OnPhys(NodeId(1)), None)
+        .unwrap();
+    assert_eq!(copy.get_location().unwrap(), NodeId(1));
+    assert_eq!(copy.sinvoke("checksum", &[]).unwrap(), Value::I64(3 * size));
+    // A copy, not a move: the original still answers where it was.
+    assert_eq!(blob.get_location().unwrap(), NodeId(0));
+    assert_eq!(blob.sinvoke("size", &[]).unwrap(), Value::I64(size));
+    d.shutdown();
+}
