@@ -20,7 +20,7 @@
 //! Usage:
 //!   cargo run --release -p jsym-bench --bin ablate_affinity              # full grid
 //!   cargo run --release -p jsym-bench --bin ablate_affinity -- --quick   # smoke
-//!   cargo run --release -p jsym-bench --bin ablate_affinity -- --quick --executor 4
+//!   (--executor N sizes the executor; default: `JsShell`'s)
 
 use jsym_bench::write_json;
 use jsym_core::testkit::register_test_classes;
@@ -127,18 +127,16 @@ fn deployment(s: &Scenario, affinity: AffinityConfig) -> Deployment {
             m
         })
         .collect();
-    let mut shell = JsShell::new()
+    JsShell::new()
         .time_scale(s.scale)
         .monitor_period(50.0)
         .failure_timeout(1e9)
         .automigration(false, SUPERVISOR_PERIOD)
         .directory_replicas(3)
         .affinity(affinity)
-        .add_machines(machines);
-    if s.executor > 0 {
-        shell = shell.executor(s.executor);
-    }
-    shell.boot()
+        .add_machines(machines)
+        .executor(s.executor)
+        .boot()
 }
 
 /// The dominant caller node of target `i` (targets land on node 0; callers

@@ -3,14 +3,53 @@
 //!
 //! Prints one line per measured cell (the paper plots execution time against
 //! the number of nodes for several N, one solid line per N during the day
-//! and one dashed line per N at night) and writes `bench_results/fig5.json`.
+//! and one dashed line per N at night) and writes `bench_results/fig5.json`
+//! plus `fig5_obs.json`, one observability summary row per cell.
 //!
 //! Usage:
 //!   cargo run --release -p jsym-bench --bin fig5            # full sweep
 //!   cargo run --release -p jsym-bench --bin fig5 -- --quick # smoke sweep
 
-use jsym_bench::{write_json, write_raw_json};
+use jsym_bench::{percentile, write_json};
 use jsym_cluster::fig5::{run_fig5_instrumented, Fig5Config, Fig5Kernel, Fig5Row};
+use jsym_core::obs::{HistogramSnapshot, MetricsSnapshot};
+use serde::Serialize;
+
+/// What one cell's deployment metrics say about its RMI traffic.
+#[derive(Serialize)]
+struct ObsRow {
+    n: usize,
+    nodes: usize,
+    load: String,
+    /// Calls issued, all invocation modes (`rmi.calls`).
+    rmi_calls: u64,
+    /// Caller-observed RMI latency in virtual seconds, merged over nodes and
+    /// modes (`rmi.caller_seconds`).
+    caller_p50_s: f64,
+    caller_p99_s: f64,
+    /// Payload bytes put on links (`net.bytes`).
+    bytes: u64,
+    messages: u64,
+}
+
+fn obs_row(row: &Fig5Row, metrics: &MetricsSnapshot) -> ObsRow {
+    let mut caller = HistogramSnapshot::empty();
+    for (k, h) in &metrics.histograms {
+        if k.name == "rmi.caller_seconds" {
+            let _ = caller.merge(h);
+        }
+    }
+    ObsRow {
+        n: row.n,
+        nodes: row.nodes,
+        load: row.load.clone(),
+        rmi_calls: metrics.counter_total("rmi.calls"),
+        caller_p50_s: percentile(&caller, 0.50),
+        caller_p99_s: percentile(&caller, 0.99),
+        bytes: metrics.histogram_sum("net.bytes") as u64,
+        messages: row.messages,
+    }
+}
 
 fn print_header() {
     println!(
@@ -75,8 +114,7 @@ fn main() {
     if let Some(size) = parse_flag::<usize>(&args, "--size") {
         cfg.sizes = vec![size];
     }
-    // --executor N: run every cell on an N-worker work-stealing executor
-    // instead of the thread-per-node runtime (0 = thread-per-node).
+    // --executor N: size every cell's executor (0 = the default size).
     if let Some(threads) = parse_flag::<usize>(&args, "--executor") {
         cfg.executor = threads;
     }
@@ -88,30 +126,19 @@ fn main() {
         cfg.time_scale,
     );
     print_header();
-    // Each cell also exports its per-node/per-RMI metrics (counters and
-    // histograms; spans stripped) as bench_results/fig5_obs_<cell>.json.
-    let mut obs_errors = 0usize;
-    let rows = run_fig5_instrumented(&cfg, |row, obs_json| {
+    let mut obs_rows = Vec::new();
+    let rows = run_fig5_instrumented(&cfg, |row, metrics| {
         print_row(row);
-        let name = format!("fig5_obs_{}_{}_{}", row.load, row.n, row.nodes);
-        if write_raw_json(&name, obs_json).is_err() {
-            obs_errors += 1;
-        }
+        obs_rows.push(obs_row(row, metrics));
     });
-    if obs_errors > 0 {
-        eprintln!("could not write {obs_errors} per-cell metrics artifact(s)");
-    } else {
-        eprintln!(
-            "wrote {} per-cell metrics artifacts (fig5_obs_*.json)",
-            rows.len()
-        );
-    }
 
     // The qualitative claims of paper §6, checked on the fly.
     summarize(&rows);
-    match write_json("fig5", &rows) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write results: {e}"),
+    for written in [write_json("fig5", &rows), write_json("fig5_obs", &obs_rows)] {
+        match written {
+            Ok(path) => eprintln!("wrote {}", path.display()),
+            Err(e) => eprintln!("could not write results: {e}"),
+        }
     }
     match jsym_bench::write_csv(
         "fig5",

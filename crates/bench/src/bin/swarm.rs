@@ -1,16 +1,14 @@
-//! E12 — the `swarm` macro-benchmark: sustained mixed traffic at scale on
-//! the work-stealing executor.
+//! E12 — the `swarm` macro-benchmark: sustained mixed traffic at scale.
 //!
-//! The thread-per-node runtime needs 5+ OS threads per simulated node, which
-//! caps a deployment near a few hundred nodes. `JsShell::executor(n)` runs
-//! every node on `n` shared workers, so one process can host 10 000 nodes
+//! No node owns a thread: every node runs on the deployment's `n` executor
+//! workers (`JsShell::executor(n)`), so one process can host 10 000 nodes
 //! and 1 000 000 objects. This benchmark boots exactly that, then drives a
 //! sustained mix of the paper's three invocation modes plus object churn,
 //! migration and injected network partitions, and reports throughput and
 //! modeled RMI latency percentiles from the observability registry.
 //!
 //! Phases:
-//!   1. boot `--nodes` machines in executor mode;
+//!   1. boot `--nodes` machines;
 //!   2. create `--objects` Counters round-robin over all nodes (parallel
 //!      driver threads, one slice each);
 //!   3. `--ops` mixed operations per driver (one-sided / sync / async
@@ -27,7 +25,7 @@
 //!   (knobs: --nodes N --objects N --ops N --drivers N --executor N
 //!           --scale S --seed N)
 
-use jsym_bench::write_json;
+use jsym_bench::{percentile, write_json};
 use jsym_core::obs::HistogramSnapshot;
 use jsym_core::testkit::register_test_classes;
 use jsym_core::{
@@ -180,35 +178,6 @@ fn machine_note() -> String {
         std::env::consts::OS,
         std::env::consts::ARCH
     )
-}
-
-/// Linear-interpolated quantile over the histogram's buckets, clamped to the
-/// observed [min, max].
-fn percentile(h: &HistogramSnapshot, q: f64) -> f64 {
-    if h.count == 0 {
-        return 0.0;
-    }
-    let target = q * h.count as f64;
-    let mut cum = 0u64;
-    for (i, &b) in h.buckets.iter().enumerate() {
-        let below = cum as f64;
-        cum += b;
-        if b > 0 && cum as f64 >= target {
-            let lo = if i == 0 {
-                h.min
-            } else {
-                h.bounds[i - 1].max(h.min)
-            };
-            let hi = if i < h.bounds.len() {
-                h.bounds[i].min(h.max)
-            } else {
-                h.max
-            };
-            let frac = ((target - below) / b as f64).clamp(0.0, 1.0);
-            return lo + (hi - lo).max(0.0) * frac;
-        }
-    }
-    h.max
 }
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
@@ -406,7 +375,9 @@ fn run_once(cfg: &Config) -> Report {
     }
     let net = d.net_stats();
     let hot = d.net_hot_stats();
-    let exec = d.exec_stats().expect("executor mode");
+    let exec = d
+        .exec_stats()
+        .expect("every deployment runs on the executor");
     let virt_seconds = d.clock().now();
 
     let mut t = Tally::default();

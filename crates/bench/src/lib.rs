@@ -53,6 +53,35 @@ pub fn write_raw_json(name: &str, json: &str) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
+/// Linear-interpolated quantile over the histogram's buckets, clamped to the
+/// observed [min, max].
+pub fn percentile(h: &jsym_core::obs::HistogramSnapshot, q: f64) -> f64 {
+    if h.count == 0 {
+        return 0.0;
+    }
+    let target = q * h.count as f64;
+    let mut cum = 0u64;
+    for (i, &b) in h.buckets.iter().enumerate() {
+        let below = cum as f64;
+        cum += b;
+        if b > 0 && cum as f64 >= target {
+            let lo = if i == 0 {
+                h.min
+            } else {
+                h.bounds[i - 1].max(h.min)
+            };
+            let hi = if i < h.bounds.len() {
+                h.bounds[i].min(h.max)
+            } else {
+                h.max
+            };
+            let frac = ((target - below) / b as f64).clamp(0.0, 1.0);
+            return lo + (hi - lo).max(0.0) * frac;
+        }
+    }
+    h.max
+}
+
 /// Formats a virtual-seconds value for table output.
 pub fn fmt_secs(s: f64) -> String {
     format!("{s:9.2}")

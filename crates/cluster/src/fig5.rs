@@ -49,8 +49,7 @@ pub struct Fig5Config {
     /// Whether the deployment coalesces same-destination RMI traffic
     /// (`JsShell::rmi_batching` with default window/size).
     pub batching: bool,
-    /// Worker threads for the work-stealing executor runtime
-    /// (`JsShell::executor`); 0 keeps the thread-per-node model.
+    /// Executor worker threads (`JsShell::executor`); 0 = the default size.
     pub executor: usize,
 }
 
@@ -136,18 +135,18 @@ pub struct Fig5Row {
     pub kernel: String,
 }
 
-/// One cell's measurements plus the deployment's observability export.
+/// One cell's measurements plus the deployment's metrics.
 #[derive(Clone, Debug)]
 pub struct CellRun {
     /// Measured execution time in virtual seconds.
     pub seconds: f64,
     /// RMI-layer messages sent (0 for the sequential baseline).
     pub messages: u64,
-    /// Metrics-only JSON export of the cell's deployment (per-node message
-    /// counters, per-RMI-mode call counts and caller-latency histograms,
-    /// per-link byte/latency histograms). Spans are stripped to keep the
-    /// artifact small over a paper-scale sweep.
-    pub obs_json: String,
+    /// The cell's deployment-wide metrics at the end of the run (per-node
+    /// message counters, per-RMI-mode call counts and caller-latency
+    /// histograms, per-link byte/latency histograms); the harness folds them
+    /// into one summary row per cell.
+    pub metrics: jsym_core::obs::MetricsSnapshot,
 }
 
 /// Runs one cell of the sweep: builds a fresh deployment of the first
@@ -201,7 +200,7 @@ pub fn run_cell_full(
 }
 
 /// Runs one sweep cell with an explicit kernel, RMI-batching setting and
-/// executor mode (`executor` worker threads; 0 = thread-per-node).
+/// executor size (`executor` worker threads; 0 = the default size).
 #[allow(clippy::too_many_arguments)]
 pub fn run_cell_opts(
     n: usize,
@@ -224,10 +223,7 @@ pub fn run_cell_opts(
         let bc = jsym_net::BatchConfig::default();
         shell = shell.rmi_batching(bc.flush_window, bc.max_bytes);
     }
-    if executor > 0 {
-        shell = shell.executor(executor);
-    }
-    let deployment = shell.boot();
+    let deployment = shell.executor(executor).boot();
     register_matmul_classes(&deployment);
 
     let (seconds, messages) = if nodes == 1 {
@@ -261,31 +257,26 @@ pub fn run_cell_opts(
         }
         (report.virt_seconds, report.messages)
     };
-    let obs_json = {
-        let mut snap = deployment.obs().snapshot();
-        snap.spans.clear();
-        snap.to_json()
-    };
+    let metrics = deployment.obs().metrics().snapshot();
     deployment.shutdown();
     CellRun {
         seconds,
         messages,
-        obs_json,
+        metrics,
     }
 }
 
 /// Runs the full sweep, printing one row per cell to `out` as it completes
 /// (the harness binary passes stdout) and returning every row.
 pub fn run_fig5(cfg: &Fig5Config, mut progress: impl FnMut(&Fig5Row)) -> Vec<Fig5Row> {
-    run_fig5_instrumented(cfg, |row, _obs_json| progress(row))
+    run_fig5_instrumented(cfg, |row, _metrics| progress(row))
 }
 
-/// As [`run_fig5`], additionally handing each cell's metrics JSON export to
-/// the callback so the harness can write per-cell observability artifacts
-/// next to the result rows.
+/// As [`run_fig5`], additionally handing each cell's metrics to the callback
+/// so the harness can write an observability summary next to the result rows.
 pub fn run_fig5_instrumented(
     cfg: &Fig5Config,
-    mut progress: impl FnMut(&Fig5Row, &str),
+    mut progress: impl FnMut(&Fig5Row, &jsym_core::obs::MetricsSnapshot),
 ) -> Vec<Fig5Row> {
     let mut rows = Vec::new();
     for &load in &cfg.loads {
@@ -322,7 +313,7 @@ pub fn run_fig5_instrumented(
                         cfg.kernel.label().to_owned()
                     },
                 };
-                progress(&row, &run.obs_json);
+                progress(&row, &run.metrics);
                 rows.push(row);
             }
         }
@@ -439,12 +430,20 @@ mod sweep_tests {
     fn instrumented_cells_export_metrics() {
         let run = run_cell_full(200, 2, LoadKind::Dedicated, 1e-2, 1, false);
         assert!(run.messages > 0);
-        assert!(run.obs_json.contains("\"schema\": \"jsym-obs/v1\""));
         assert!(
-            run.obs_json.contains("rmi.calls"),
-            "no RMI counters in export"
+            run.metrics.counter_total("rmi.calls") > 0,
+            "no RMI counters"
         );
-        assert!(run.obs_json.contains("msg.sent"), "no per-node counters");
-        assert!(run.obs_json.contains("\"spans\": []"), "spans not stripped");
+        assert!(
+            run.metrics.counter_total("msg.sent") > 0,
+            "no per-node counters"
+        );
+        assert!(
+            run.metrics
+                .histograms
+                .keys()
+                .any(|k| k.name == "rmi.caller_seconds"),
+            "no caller-latency histograms"
+        );
     }
 }

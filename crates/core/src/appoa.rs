@@ -624,7 +624,7 @@ fn answer_where_is(
         return;
     }
     let sh = Arc::clone(shared);
-    crate::runtime::spawn_worker(shared, "where-is", move || {
+    crate::runtime::spawn_worker(shared, move || {
         let (result, source) = match crate::dir::read_location(&sh, obj) {
             Ok(n) => (Ok(Value::I64(n.0 as i64)), "directory"),
             Err(_) => (table_reply(table), "origin"),

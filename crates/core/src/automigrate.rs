@@ -129,7 +129,7 @@ pub(crate) fn round(d: &Arc<DeploymentInner>) -> usize {
     // Dirty-set scans only re-evaluate nodes whose cached sample moved past
     // the threshold; every 8th round falls back to a full scan so drift
     // below the threshold cannot hide a violation forever.
-    let use_dirty = d.automigrate_dirty.load(Ordering::Relaxed) && n % 8 != 0;
+    let use_dirty = n % 8 != 0;
     let mode = if use_dirty { "dirty" } else { "full" };
     let scan = d.vda.scan_violations(use_dirty);
     d.obs.counter("automigrate.rounds", None, mode).inc();

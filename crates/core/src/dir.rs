@@ -402,55 +402,27 @@ fn ship(shared: &NodeShared, out: Vec<(u32, DirMsg)>) {
     }
 }
 
-/// The per-replica ticker thread: drives heartbeats and election timeouts
-/// off the virtual clock, like `run_na` drives monitoring rounds.
-pub(crate) fn run_dir_ticker(shared: Arc<NodeShared>) {
-    let Some(host) = shared.dir_host.clone() else {
-        return;
-    };
-    let period = host.tick_period;
-    let mut last = shared.clock.now();
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        let now = shared.clock.now();
-        if now - last >= period {
-            last = now;
-            host.tick(&shared);
-        }
-        std::thread::sleep(
-            shared
-                .clock
-                .scale()
-                .to_real(period / 2.0)
-                .min(Duration::from_millis(2))
-                .max(Duration::from_micros(50)),
-        );
-    }
-}
-
-/// Executor-mode replica ticker: a timer task that runs one `tick` per tick
-/// period and re-arms itself, replacing the per-replica thread (which polls
-/// twice per period but also gates `tick` to once per period).
-pub(crate) fn schedule_dir_ticker(shared: Arc<NodeShared>, exec: Arc<jsym_exec::Executor>) {
+/// The per-replica ticker: a timer task that runs one `tick` per tick period
+/// (heartbeats and election timeouts off the virtual clock) and re-arms
+/// itself, like `na::schedule_monitor` drives monitoring rounds.
+pub(crate) fn schedule_dir_ticker(shared: Arc<NodeShared>) {
     let Some(host) = shared.dir_host.clone() else {
         return;
     };
     if shared.shutdown.load(Ordering::Relaxed) {
         return;
     }
-    let period = host.tick_period;
-    let at = shared.clock.real_deadline(shared.clock.now() + period);
-    let exec2 = Arc::clone(&exec);
-    exec.spawn_at(
+    let at = shared
+        .clock
+        .real_deadline(shared.clock.now() + host.tick_period);
+    let workers = Arc::clone(&shared.workers);
+    workers.spawn_at(
         at,
         Box::new(move || {
-            if shared.shutdown.load(Ordering::Relaxed) {
-                return;
+            if !shared.shutdown.load(Ordering::Relaxed) {
+                host.tick(&shared);
+                schedule_dir_ticker(shared);
             }
-            host.tick(&shared);
-            schedule_dir_ticker(shared, exec2);
         }),
     );
 }

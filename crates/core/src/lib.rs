@@ -81,7 +81,10 @@ pub use ids::{AgentAddr, AgentKind, AppId, ObjectHandle, ObjectId};
 pub use jsobj::{JsObj, MigrateTarget, PlacedIn, Placement};
 pub use persist::ObjectStore;
 pub use registration::JsRegistration;
-pub use shell::{AffinityConfig, AffinityStats, Deployment, JsShell, MachineConfig, NodeStats};
+pub use shell::{
+    AffinityConfig, AffinityStats, Deployment, JsShell, MachineConfig, NodeStats,
+    DEFAULT_EXECUTOR_WORKERS,
+};
 pub use state::{encode_state, State};
 pub use statics::JsStaticRef;
 pub use value::{Args, Value};

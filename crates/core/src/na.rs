@@ -16,7 +16,6 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Monitoring configuration (set through the JS-Shell).
 #[derive(Clone, Copy, Debug)]
@@ -96,7 +95,7 @@ pub(crate) struct NaState {
     pub declared_failed: Mutex<HashSet<NodeId>>,
     /// Monitoring rounds completed (for tests/benches).
     pub rounds: std::sync::atomic::AtomicU64,
-    /// Generation of the executor-mode monitor timer chain. Re-arming
+    /// Generation of the monitor timer chain. Re-arming
     /// (e.g. `set_monitor_period`) bumps this; a fired timer task whose
     /// captured generation no longer matches is stale and dies instead of
     /// running a duplicate round and re-arming a second chain.
@@ -137,68 +136,35 @@ impl NaState {
     }
 }
 
-/// The NA thread body: monitoring, reporting, aggregation, heartbeats and
-/// failure detection for one node.
-pub(crate) fn run_na(shared: Arc<NodeShared>, vda: jsym_vda::VdaRegistry) {
-    loop {
-        // Wait one period, re-reading the (JS-Shell-adjustable) knob every
-        // slice so a shortened period takes effect immediately, and checking
-        // the shutdown flag so teardown stays prompt.
-        let started = shared.clock.now();
-        loop {
-            if shared.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            let period = shared.na.knobs.monitor_period();
-            if shared.clock.now() - started >= period {
-                break;
-            }
-            std::thread::sleep(
-                Duration::from_millis(2).min(shared.clock.scale().to_real(period.max(0.001))),
-            );
-        }
-        monitor_round(&shared, &vda);
-    }
-}
-
-/// Executor-mode NA: instead of a dedicated thread sleeping in slices, each
-/// round is a timer task that runs `monitor_round` and re-arms itself one
-/// period ahead. `set_monitor_period` re-arms immediately with the new
-/// period by bumping the chain's generation counter and starting a fresh
-/// chain; the superseded chain notices the stale generation when its timer
-/// fires and dies without running a duplicate round (DESIGN.md §13).
-pub(crate) fn schedule_monitor(
-    shared: Arc<NodeShared>,
-    vda: jsym_vda::VdaRegistry,
-    exec: Arc<jsym_exec::Executor>,
-) {
+/// Arms the node's NA: each round (monitoring, reporting, aggregation,
+/// heartbeats, failure detection) is a timer task that runs `monitor_round`
+/// and re-arms itself one period ahead. `set_monitor_period` re-arms
+/// immediately with the new period by bumping the chain's generation counter
+/// and starting a fresh chain; the superseded chain notices the stale
+/// generation when its timer fires and dies without running a duplicate
+/// round (DESIGN.md §13).
+pub(crate) fn schedule_monitor(shared: Arc<NodeShared>, vda: jsym_vda::VdaRegistry) {
     let gen = shared.na.timer_gen.load(Ordering::Relaxed);
-    schedule_monitor_gen(shared, vda, exec, gen);
+    schedule_monitor_gen(shared, vda, gen);
 }
 
-fn schedule_monitor_gen(
-    shared: Arc<NodeShared>,
-    vda: jsym_vda::VdaRegistry,
-    exec: Arc<jsym_exec::Executor>,
-    gen: u64,
-) {
-    if shared.shutdown.load(Ordering::Relaxed) || shared.na.timer_gen.load(Ordering::Relaxed) != gen
-    {
+fn schedule_monitor_gen(shared: Arc<NodeShared>, vda: jsym_vda::VdaRegistry, gen: u64) {
+    let stale = move |sh: &NodeShared| {
+        sh.shutdown.load(Ordering::Relaxed) || sh.na.timer_gen.load(Ordering::Relaxed) != gen
+    };
+    if stale(&shared) {
         return;
     }
     let period = shared.na.knobs.monitor_period().max(1e-4);
     let at = shared.clock.real_deadline(shared.clock.now() + period);
-    let exec2 = Arc::clone(&exec);
-    exec.spawn_at(
+    let workers = Arc::clone(&shared.workers);
+    workers.spawn_at(
         at,
         Box::new(move || {
-            if shared.shutdown.load(Ordering::Relaxed)
-                || shared.na.timer_gen.load(Ordering::Relaxed) != gen
-            {
-                return;
+            if !stale(&shared) {
+                monitor_round(&shared, &vda);
+                schedule_monitor_gen(shared, vda, gen);
             }
-            monitor_round(&shared, &vda);
-            schedule_monitor_gen(shared, vda, exec2, gen);
         }),
     );
 }
@@ -217,16 +183,6 @@ pub(crate) fn monitor_round(shared: &Arc<NodeShared>, vda: &jsym_vda::VdaRegistr
     let snap = shared.machine.snapshot();
     *shared.na.latest.lock() = Some(snap.clone());
     shared.na.history.lock().push(snap.clone());
-    if shared.obs.is_enabled() {
-        shared
-            .obs
-            .gauge("pool.transient_workers", Some(shared.phys.0), "")
-            .set(shared.workers.transient_spawns() as f64);
-        shared
-            .obs
-            .gauge("pool.overflow.active", Some(shared.phys.0), "")
-            .set(shared.workers.overflow_active() as f64);
-    }
 
     // 2. Work out this node's monitoring relationships.
     let view = vda.monitor_view(shared.phys);
@@ -340,11 +296,11 @@ pub(crate) fn monitor_round(shared: &Arc<NodeShared>, vda: &jsym_vda::VdaRegistr
         }
         vda.handle_phys_failure(peer);
         // Record the failure in the replicated directory too, so surviving
-        // replicas agree on the failed set. Off the NA thread: a directory
-        // election in progress must not stall monitoring rounds.
+        // replicas agree on the failed set. Off the NA round: a directory
+        // election in progress must not stall monitoring.
         if shared.dir.is_some() {
             let s = Arc::clone(shared);
-            crate::runtime::spawn_worker(shared, "dir-mark-failed", move || {
+            crate::runtime::spawn_worker(shared, move || {
                 let _ = crate::dir::propose(&s, &jsym_dir::DirCommand::MarkFailed { node: peer.0 });
             });
         }

@@ -33,7 +33,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
             origin,
         } => {
             let sh = Arc::clone(shared);
-            spawn_worker(shared, "create", move || {
+            spawn_worker(shared, move || {
                 let result = create_object(&sh, obj, class, &args, origin);
                 sh.send_reply(reply_to, req, result);
             });
@@ -47,7 +47,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
             origin,
         } => {
             let sh = Arc::clone(shared);
-            spawn_worker(shared, "restore", move || {
+            spawn_worker(shared, move || {
                 let result = install_from_state(&sh, obj, class, &state, origin);
                 sh.send_reply(reply_to, req, result);
             });
@@ -73,8 +73,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
             method,
             args,
         } => {
-            // Affinity plane: every delivered invocation — mailbox and hook
-            // paths both funnel through here — feeds the decayed
+            // Affinity plane: every delivered invocation feeds the decayed
             // caller→object counters. Same-node traffic reinforces the
             // current placement, which is exactly the hysteresis we want.
             if shared.affinity.enabled() {
@@ -85,7 +84,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
                     shared.clock.now(),
                 );
             }
-            // Enqueue on the object's executor *from the receiver thread* so
+            // Enqueue on the object's executor *from the dispatcher* so
             // same-object invocations run in message-arrival order.
             let entry = shared.objects.lock().get(&obj).cloned();
             match entry {
@@ -93,7 +92,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
                     let sh = Arc::clone(shared);
                     let exec = Arc::clone(&entry.exec);
                     exec.submit(
-                        shared,
+                        &shared.workers,
                         Box::new(move || {
                             let result = execute(&sh, obj, method, &args);
                             match (reply_to, result) {
@@ -118,7 +117,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
             span,
         } => {
             let sh = Arc::clone(shared);
-            spawn_worker(shared, "migrate", move || {
+            spawn_worker(shared, move || {
                 let result = migrate_out(&sh, obj, dst, SpanId::from_wire(span));
                 sh.send_reply(reply_to, req, result);
             });
@@ -133,7 +132,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
             span,
         } => {
             let sh = Arc::clone(shared);
-            spawn_worker(shared, "migrate-in", move || {
+            spawn_worker(shared, move || {
                 let result = migrate_in(&sh, obj, class, &state, origin, SpanId::from_wire(span));
                 sh.send_reply(reply_to, req, result);
             });
@@ -145,7 +144,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
             key,
         } => {
             let sh = Arc::clone(shared);
-            spawn_worker(shared, "store", move || {
+            spawn_worker(shared, move || {
                 let result = store_object(&sh, obj, key);
                 sh.send_reply(reply_to, req, result);
             });
@@ -208,7 +207,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
                     let exec = Arc::clone(&entry.exec);
                     let instance = Arc::clone(&entry.instance);
                     exec.submit(
-                        shared,
+                        &shared.workers,
                         Box::new(move || {
                             let result = execute_static(&sh, &instance, method, &args);
                             if let Some(to) = reply_to {
@@ -239,7 +238,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
 /// Takes an object's instance lock. Uncontended locks stay on the fast
 /// path; a contended acquire can stall for a whole method execution
 /// (quiesce, §4.6), so it is declared blocking to the executor — a spare
-/// worker keeps the pool at capacity. Passthrough on plain threads.
+/// worker keeps the pool at capacity.
 fn lock_instance(
     instance: &parking_lot::Mutex<Box<dyn crate::JsClass>>,
 ) -> parking_lot::MutexGuard<'_, Box<dyn crate::JsClass>> {

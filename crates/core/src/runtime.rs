@@ -1,8 +1,9 @@
 //! Per-node runtime: the paper's "single JVM" hosting the node's public
-//! object agent and network agent, plus the receiver thread that routes
-//! incoming messages to the right agent.
+//! object agent and network agent, plus the dispatcher that routes incoming
+//! messages to the right agent. A node owns no thread: everything it does
+//! runs as a task on the deployment's executor.
 
-use crate::calltable::{CallTable, Slot};
+use crate::calltable::CallTable;
 use crate::class::{ClassRegistry, ObjectCaller};
 use crate::cost::CostModel;
 use crate::error::JsError;
@@ -13,12 +14,11 @@ use crate::na::NaState;
 use crate::persist::ObjectStore;
 use crate::value::{args_wire_size, Value};
 use crate::{appoa, puboa, Result};
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use jsym_net::{Envelope, Network, NodeId, Payload, SimClock};
 use jsym_sysmon::SimMachine;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -58,75 +58,43 @@ struct ExecState {
 
 /// Serializes the invocations of one object in arrival order.
 ///
-/// The receiver thread enqueues; at most one drain task runs at a time on
-/// the node's worker pool, so an `init` delivered before a `multiply` is
-/// guaranteed to execute before it — matching RMI calls arriving over one
-/// serialized connection.
+/// The dispatcher enqueues; at most one drain task runs at a time on the
+/// executor, so an `init` delivered before a `multiply` is guaranteed to
+/// execute before it — matching RMI calls arriving over one serialized
+/// connection.
 #[derive(Default)]
 pub(crate) struct ObjExecutor {
     state: Mutex<ExecState>,
 }
 
-/// How many queued invocations one cooperative drain task executes before
-/// re-submitting itself, so a hot object cannot monopolize an executor
-/// worker while thousands of sibling tasks wait.
+/// How many queued invocations one drain task executes before re-submitting
+/// itself, so a hot object cannot monopolize an executor worker while
+/// thousands of sibling tasks wait.
 const DRAIN_YIELD_BATCH: usize = 64;
 
 impl ObjExecutor {
-    /// Enqueues a job, starting a drain task if none is running.
-    pub(crate) fn submit(self: &Arc<Self>, shared: &Arc<NodeShared>, job: Job) {
+    /// Enqueues a job, starting a drain task on `workers` if none is running.
+    pub(crate) fn submit(self: &Arc<Self>, workers: &Arc<jsym_exec::Executor>, job: Job) {
         let start_drain = {
             let mut st = self.state.lock();
             st.queue.push_back(job);
-            if st.running {
-                false
-            } else {
-                st.running = true;
-                true
-            }
+            !std::mem::replace(&mut st.running, true)
         };
         if start_drain {
-            let exec = Arc::clone(self);
-            let sh = Arc::clone(shared);
-            spawn_worker(shared, "obj-exec", move || exec.drain(&sh));
+            self.spawn_drain(workers);
         }
     }
 
-    fn drain(self: &Arc<Self>, shared: &Arc<NodeShared>) {
-        if !shared.workers.cooperative() {
-            // Threaded mode: the drain owns a (transient) thread, run dry.
-            self.drain_all();
-            return;
-        }
-        // Executor mode: the drain is one task among up to a million; yield
-        // the worker back after a bounded batch. `running` stays true across
-        // the yield, so submission order is preserved and no second drain
-        // can start.
-        let mut done = 0usize;
-        loop {
-            let job = {
-                let mut st = self.state.lock();
-                match st.queue.pop_front() {
-                    Some(j) => j,
-                    None => {
-                        st.running = false;
-                        return;
-                    }
-                }
-            };
-            job();
-            done += 1;
-            if done >= DRAIN_YIELD_BATCH {
-                let exec = Arc::clone(self);
-                let sh = Arc::clone(shared);
-                spawn_worker(shared, "obj-exec", move || exec.drain(&sh));
-                return;
-            }
-        }
+    fn spawn_drain(self: &Arc<Self>, workers: &Arc<jsym_exec::Executor>) {
+        let (exec, w) = (Arc::clone(self), Arc::clone(workers));
+        workers.spawn(Box::new(move || exec.drain(&w)));
     }
 
-    fn drain_all(&self) {
-        loop {
+    fn drain(self: &Arc<Self>, workers: &Arc<jsym_exec::Executor>) {
+        // The drain is one task among up to a million; yield the worker back
+        // after a bounded batch. `running` stays true across the yield, so
+        // submission order is preserved and no second drain can start.
+        for _ in 0..DRAIN_YIELD_BATCH {
             let job = {
                 let mut st = self.state.lock();
                 match st.queue.pop_front() {
@@ -139,6 +107,7 @@ impl ObjExecutor {
             };
             job();
         }
+        self.spawn_drain(workers);
     }
 }
 
@@ -174,7 +143,7 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// All state shared between the threads of one node runtime.
+/// All state shared between the tasks of one node runtime.
 pub(crate) struct NodeShared {
     pub phys: NodeId,
     pub machine: SimMachine,
@@ -201,7 +170,8 @@ pub(crate) struct NodeShared {
     /// Network-agent state (monitoring, heartbeats, failure detection).
     pub na: NaState,
     pub stats: StatCounters,
-    pub workers: Workers,
+    /// The deployment-wide executor every handler of this node runs on.
+    pub workers: Arc<jsym_exec::Executor>,
     /// Deployment-wide structural event log.
     pub events: crate::EventLog,
     /// Deployment-wide observability scope (metrics + span tracer).
@@ -448,23 +418,7 @@ fn msg_tag(msg: &Msg) -> &'static str {
     }
 }
 
-/// The receiver thread: routes every incoming envelope to the right agent.
-pub(crate) fn run_receiver(shared: Arc<NodeShared>, rx: Receiver<Envelope>) {
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            break;
-        }
-        let env = match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(env) => env,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        dispatch(&shared, env);
-    }
-    // Nothing will ever complete the pending calls now.
-    shared.calls.fail_all(JsError::ShuttingDown);
-}
-
+/// Routes one incoming envelope to the right agent (the node's delivery hook).
 pub(crate) fn dispatch(shared: &Arc<NodeShared>, env: Envelope) {
     let src = env.src;
     let packet = match env.payload.downcast::<Packet>() {
@@ -494,186 +448,9 @@ pub(crate) fn dispatch(shared: &Arc<NodeShared>, env: Envelope) {
     }
 }
 
-/// Hands a potentially long-running handler to the node's worker pool.
-pub(crate) fn spawn_worker(
-    shared: &Arc<NodeShared>,
-    name: &str,
-    f: impl FnOnce() + Send + 'static,
-) {
-    shared.workers.submit(name, Box::new(f));
-}
-
-/// How a node runtime executes its potentially-blocking handler jobs:
-/// either a private per-node [`WorkerPool`] (the legacy thread-per-node
-/// model) or the deployment-wide work-stealing [`jsym_exec::Executor`]
-/// shared by every node (`JsShell::executor`).
-pub(crate) enum Workers {
-    Pool(WorkerPool),
-    Exec(Arc<jsym_exec::Executor>),
-}
-
-impl Workers {
-    pub(crate) fn submit(&self, name: &str, job: Job) {
-        match self {
-            Workers::Pool(p) => p.submit(name, job),
-            Workers::Exec(e) => e.spawn(job),
-        }
-    }
-
-    /// Whether jobs share a bounded worker set and must yield cooperatively.
-    pub(crate) fn cooperative(&self) -> bool {
-        matches!(self, Workers::Exec(_))
-    }
-
-    pub(crate) fn transient_spawns(&self) -> u64 {
-        match self {
-            Workers::Pool(p) => p.transient_spawns(),
-            Workers::Exec(_) => 0,
-        }
-    }
-
-    pub(crate) fn overflow_active(&self) -> u32 {
-        match self {
-            Workers::Pool(p) => p.overflow_active(),
-            Workers::Exec(_) => 0,
-        }
-    }
-}
-
-/// A small persistent thread pool per node runtime.
-///
-/// Spawning an OS thread costs ~100 µs of real time; at the simulation's
-/// time scales that would leak whole virtual seconds into every RMI. The
-/// pool keeps a few resident workers (enough for the common case of a
-/// handful of concurrent method executions per node) and falls back to
-/// transient threads when every resident worker is blocked — e.g. deep
-/// nested-invocation chains — so the runtime can never deadlock on pool
-/// exhaustion.
-pub(crate) struct WorkerPool {
-    label: String,
-    tx: crossbeam::channel::Sender<Job>,
-    rx: crossbeam::channel::Receiver<Job>,
-    resident: u32,
-    active: Arc<AtomicU32>,
-    /// Transient-thread fallbacks taken because every resident worker was
-    /// busy; exposed via [`crate::NodeStats`] so bench runs can detect pool
-    /// exhaustion.
-    transient_spawns: AtomicU64,
-    /// Transient threads currently alive. Bounded by `max_overflow`:
-    /// submissions past the cap queue instead of spawning, so a burst of
-    /// blocked handlers cannot fork an unbounded thread herd.
-    overflow_active: Arc<AtomicU32>,
-    max_overflow: u32,
-}
-
-/// Default ceiling on concurrent transient threads per pool. Deep nested
-/// chains in the tests use a few tens; anything past this indicates the
-/// workload wants the executor, not more threads.
-const MAX_OVERFLOW: u32 = 128;
-
-impl WorkerPool {
-    pub(crate) fn new(label: &str, resident: u32) -> Self {
-        Self::with_caps(label, resident, MAX_OVERFLOW)
-    }
-
-    pub(crate) fn with_caps(label: &str, resident: u32, max_overflow: u32) -> Self {
-        let (tx, rx) = crossbeam::channel::unbounded::<Job>();
-        let active = Arc::new(AtomicU32::new(0));
-        for i in 0..resident {
-            let rx = rx.clone();
-            let active = Arc::clone(&active);
-            let _ = std::thread::Builder::new()
-                .name(format!("jsym-{label}-w{i}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        active.fetch_add(1, Ordering::Relaxed);
-                        job();
-                        active.fetch_sub(1, Ordering::Relaxed);
-                    }
-                })
-                .expect("spawn pool worker");
-        }
-        WorkerPool {
-            label: label.to_owned(),
-            tx,
-            rx,
-            resident,
-            active,
-            transient_spawns: AtomicU64::new(0),
-            overflow_active: Arc::new(AtomicU32::new(0)),
-            max_overflow,
-        }
-    }
-
-    pub(crate) fn submit(&self, name: &str, job: Job) {
-        // All resident workers busy (likely blocked on nested calls or long
-        // computations): overflow to a transient thread so progress is
-        // never gated on pool capacity. The transient thread carries the
-        // pool's label so `ps`/profilers can attribute it to its node.
-        if self.active.load(Ordering::Relaxed) >= self.resident && self.claim_overflow_slot() {
-            self.transient_spawns.fetch_add(1, Ordering::Relaxed);
-            let ovf = Arc::clone(&self.overflow_active);
-            let rx = self.rx.clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("jsym-{}-ovf-{name}", self.label))
-                .spawn(move || {
-                    job();
-                    // Past-the-cap submissions queued instead of spawning;
-                    // drain them before retiring so they cannot starve
-                    // behind blocked residents.
-                    while let Ok(j) = rx.try_recv() {
-                        j();
-                    }
-                    ovf.fetch_sub(1, Ordering::Relaxed);
-                });
-            if spawned.is_err() {
-                self.overflow_active.fetch_sub(1, Ordering::Relaxed);
-            }
-            return;
-        }
-        if let Err(e) = self.tx.send(job) {
-            // Pool torn down mid-shutdown: run nothing.
-            drop(e);
-        }
-    }
-
-    /// Atomically reserves an overflow-thread slot; `false` at the cap.
-    fn claim_overflow_slot(&self) -> bool {
-        let mut cur = self.overflow_active.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.max_overflow {
-                return false;
-            }
-            match self.overflow_active.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// How often submissions overflowed to a transient thread.
-    pub(crate) fn transient_spawns(&self) -> u64 {
-        self.transient_spawns.load(Ordering::Relaxed)
-    }
-
-    /// Transient threads currently alive (`pool.overflow.active` gauge).
-    pub(crate) fn overflow_active(&self) -> u32 {
-        self.overflow_active.load(Ordering::Relaxed)
-    }
-}
-
-/// Creates a completed slot — used when an operation can be answered
-/// without any network traffic.
-#[allow(dead_code)]
-pub(crate) fn ready_slot(result: Result<Value>) -> Slot {
-    let s = Slot::new();
-    s.complete(result);
-    s
+/// Hands a potentially long-running or blocking handler to the executor.
+pub(crate) fn spawn_worker(shared: &Arc<NodeShared>, f: impl FnOnce() + Send + 'static) {
+    shared.workers.spawn(Box::new(f));
 }
 
 #[cfg(test)]
@@ -683,177 +460,33 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn worker_pool_runs_jobs_and_overflows() {
-        let pool = WorkerPool::new("t", 2);
-        let done = Arc::new(AtomicU32::new(0));
-        // Saturate the two residents with blocking jobs, then submit more:
-        // the overflow path must still make progress.
-        let gate = Arc::new(std::sync::Barrier::new(3));
-        for _ in 0..2 {
-            let gate = Arc::clone(&gate);
-            let done = Arc::clone(&done);
-            pool.submit(
-                "blocker",
+    fn obj_executor_preserves_submission_order_across_yields() {
+        // More jobs than one drain batch, submitted while the drain runs on
+        // a 2-worker executor: every job runs once, in submission order, and
+        // never two at a time.
+        let workers = jsym_exec::Executor::new(2);
+        let exec = Arc::new(ObjExecutor::default());
+        let order: Arc<PlMutex<Vec<usize>>> = Arc::new(PlMutex::new(Vec::new()));
+        let running = Arc::new(AtomicBool::new(false));
+        let n = DRAIN_YIELD_BATCH * 3 + 7;
+        for i in 0..n {
+            let (order, running) = (Arc::clone(&order), Arc::clone(&running));
+            exec.submit(
+                &workers,
                 Box::new(move || {
-                    gate.wait();
-                    done.fetch_add(1, Ordering::SeqCst);
+                    assert!(!running.swap(true, Ordering::SeqCst), "two drains at once");
+                    order.lock().push(i);
+                    std::thread::yield_now();
+                    running.store(false, Ordering::SeqCst);
                 }),
             );
         }
-        // Give the residents a moment to pick the blockers up.
-        std::thread::sleep(Duration::from_millis(20));
-        let done2 = Arc::clone(&done);
-        pool.submit(
-            "overflow",
-            Box::new(move || {
-                done2.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-        // The overflow job completes even though both residents are blocked.
-        for _ in 0..200 {
-            if done.load(Ordering::SeqCst) >= 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while order.lock().len() < n && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(done.load(Ordering::SeqCst) >= 1, "overflow job never ran");
-        gate.wait(); // release the blockers
-        for _ in 0..200 {
-            if done.load(Ordering::SeqCst) == 3 {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        panic!("not all jobs completed: {}", done.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn transient_overflow_threads_carry_pool_label_and_are_counted() {
-        let pool = WorkerPool::new("t9", 1);
-        assert_eq!(pool.transient_spawns(), 0);
-        let gate = Arc::new(std::sync::Barrier::new(2));
-        let g = Arc::clone(&gate);
-        pool.submit(
-            "blocker",
-            Box::new(move || {
-                g.wait();
-            }),
-        );
-        std::thread::sleep(Duration::from_millis(20));
-        let (name_tx, name_rx) = crossbeam::channel::bounded::<String>(1);
-        pool.submit(
-            "probe",
-            Box::new(move || {
-                let name = std::thread::current().name().unwrap_or("").to_owned();
-                let _ = name_tx.send(name);
-            }),
-        );
-        let name = name_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(name, "jsym-t9-ovf-probe");
-        assert_eq!(pool.transient_spawns(), 1);
-        gate.wait();
-    }
-
-    #[test]
-    fn overflow_threads_are_capped_and_excess_jobs_queue() {
-        let pool = WorkerPool::with_caps("tcap", 1, 1);
-        // Block the single resident.
-        let resident_gate = Arc::new(std::sync::Barrier::new(2));
-        let g = Arc::clone(&resident_gate);
-        pool.submit(
-            "blocker",
-            Box::new(move || {
-                g.wait();
-            }),
-        );
-        std::thread::sleep(Duration::from_millis(20));
-        // First overflow submission takes the one transient slot and blocks.
-        let ovf_gate = Arc::new(std::sync::Barrier::new(2));
-        let g = Arc::clone(&ovf_gate);
-        pool.submit(
-            "ovf",
-            Box::new(move || {
-                g.wait();
-            }),
-        );
-        for _ in 0..200 {
-            if pool.overflow_active() == 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(pool.overflow_active(), 1);
-        assert_eq!(pool.transient_spawns(), 1);
-        // Past the cap: this job queues instead of spawning another thread.
-        let done = Arc::new(AtomicU32::new(0));
-        let d = Arc::clone(&done);
-        pool.submit(
-            "queued",
-            Box::new(move || drop(d.fetch_add(1, Ordering::SeqCst))),
-        );
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(pool.transient_spawns(), 1, "no thread past the cap");
-        assert_eq!(done.load(Ordering::SeqCst), 0, "job queued, not run");
-        // Release the transient: before retiring it drains the queue, so
-        // the capped job runs even though the resident is still blocked.
-        ovf_gate.wait();
-        for _ in 0..200 {
-            if done.load(Ordering::SeqCst) == 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(done.load(Ordering::SeqCst), 1, "queued job never drained");
-        for _ in 0..200 {
-            if pool.overflow_active() == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(pool.overflow_active(), 0, "transient never retired");
-        resident_gate.wait();
-    }
-
-    #[test]
-    fn obj_executor_preserves_submission_order() {
-        let pool = WorkerPool::new("t2", 2);
-        // A stand-in NodeShared is heavyweight; exercise ObjExecutor through
-        // its own API by submitting via a scratch pool-backed shared. The
-        // executor only uses `spawn_worker`, which needs a NodeShared — so
-        // test the state machine directly instead.
-        let exec = Arc::new(ObjExecutor::default());
-        let order: Arc<PlMutex<Vec<u32>>> = Arc::new(PlMutex::new(Vec::new()));
-        // Simulate the receiver thread: enqueue jobs under the state lock,
-        // drain on the pool.
-        for i in 0..16u32 {
-            let order = Arc::clone(&order);
-            let job: Job = Box::new(move || {
-                order.lock().push(i);
-                // Stagger to give later submissions a chance to race.
-                std::thread::sleep(Duration::from_micros(200));
-            });
-            let start = {
-                let mut st = exec.state.lock();
-                st.queue.push_back(job);
-                if st.running {
-                    false
-                } else {
-                    st.running = true;
-                    true
-                }
-            };
-            if start {
-                let e = Arc::clone(&exec);
-                pool.submit("drain", Box::new(move || e.drain_all()));
-            }
-        }
-        for _ in 0..400 {
-            if order.lock().len() == 16 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(*order.lock(), (0..16).collect::<Vec<_>>());
+        assert_eq!(*order.lock(), (0..n).collect::<Vec<_>>());
+        workers.shutdown();
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! automatic migration under the JS-Shell."
 //!
 //! [`JsShell`] is the configuration builder; [`JsShell::boot`] brings up a
-//! [`Deployment`]: one node runtime (receiver thread + NA thread) per
-//! machine, a simulated network wired from each machine's link class, the
-//! virtual-architecture registry, the class registry and the object store.
+//! [`Deployment`]: one work-stealing executor, one node runtime per machine
+//! (tasks on that executor, no thread of its own), a simulated network wired
+//! from each machine's link class, the virtual-architecture registry, the
+//! class registry and the object store.
 
 use crate::appoa::AppShared;
 use crate::class::ClassRegistry;
@@ -122,7 +123,6 @@ pub struct JsShell {
     shared_segments: Vec<LinkClass>,
     observability: bool,
     param_plane: bool,
-    automigrate_dirty_set: bool,
     directory_replicas: u32,
     rmi_batching: Option<jsym_net::BatchConfig>,
     executor_threads: usize,
@@ -147,7 +147,6 @@ impl JsShell {
             shared_segments: Vec::new(),
             observability: true,
             param_plane: true,
-            automigrate_dirty_set: true,
             directory_replicas: 0,
             rmi_batching: None,
             executor_threads: 0,
@@ -247,15 +246,6 @@ impl JsShell {
         self
     }
 
-    /// Enables or disables dirty-set automigrate rounds: only nodes whose
-    /// cached sample changed past a threshold (plus currently-violating
-    /// ones) are re-evaluated, with a periodic full scan as a safety net.
-    /// On by default; requires the parameter aggregation plane.
-    pub fn automigrate_dirty_set(mut self, enabled: bool) -> Self {
-        self.automigrate_dirty_set = enabled;
-        self
-    }
-
     /// Hosts the replicated object/manager directory on the first `n`
     /// machines (`0` — the default — keeps the legacy single-authority
     /// resolution through each object's origin AppOA).
@@ -324,14 +314,12 @@ impl JsShell {
         self
     }
 
-    /// Runs every node on a deployment-wide work-stealing executor with
-    /// `threads` workers instead of spawning receiver/NA/worker threads per
-    /// node (`0` — the default — keeps the thread-per-node model). Node
-    /// mailboxes become delivery-hook tasks, NA monitor rounds and
-    /// directory replica ticks become self-re-arming timer tasks, and
-    /// blocking waits hand their worker to a spare, so one process can
-    /// simulate tens of thousands of nodes (DESIGN.md §13). Semantics are
-    /// identical to the threaded runtime.
+    /// Sizes the deployment-wide work-stealing executor every node runs on
+    /// (`0` — the default — means [`DEFAULT_EXECUTOR_WORKERS`]). Deliveries
+    /// dispatch into node runtimes as executor tasks, NA monitor rounds and
+    /// directory replica ticks are self-re-arming timer tasks, and blocking
+    /// waits hand their worker to a spare, so no node owns a thread and one
+    /// process can simulate tens of thousands of nodes (DESIGN.md §13).
     pub fn executor(mut self, threads: usize) -> Self {
         self.executor_threads = threads;
         self
@@ -356,42 +344,34 @@ impl JsShell {
         } else {
             jsym_obs::ObsRegistry::disabled()
         };
-        let exec = if self.executor_threads > 0 {
-            Some(jsym_exec::Executor::with_obs(
-                self.executor_threads,
-                obs.clone(),
-            ))
-        } else {
-            None
-        };
+        let exec = jsym_exec::Executor::with_obs(
+            match self.executor_threads {
+                0 => DEFAULT_EXECUTOR_WORKERS,
+                n => n,
+            },
+            obs.clone(),
+        );
         let mut topo = Topology::new();
         let network = {
             // Machines get ids 0..n in order; set link classes up front.
             for (i, m) in self.machines.iter().enumerate() {
                 topo.set_node_class(NodeId(i as u32), m.link);
             }
-            // In executor mode the delivery plane runs as executor timer
-            // tasks and every delivery is hook-routed into the destination
-            // runtime (mailboxes have no receiver threads to drain them).
-            let spawner: Option<jsym_net::SpawnAt> = exec.as_ref().map(|e| {
-                let e = Arc::clone(e);
-                Arc::new(
-                    move |at: std::time::Instant, job: Box<dyn FnOnce() + Send + 'static>| {
-                        e.spawn_at(at, job)
-                    },
-                ) as jsym_net::SpawnAt
-            });
+            // The delivery plane's wake-ups are executor timer tasks, and
+            // every delivery is dispatched into the destination runtime by
+            // its hook from the drain task.
+            let e = Arc::clone(&exec);
+            let spawner: jsym_net::SpawnAt = Arc::new(move |at, job| e.spawn_at(at, job));
             Network::with_obs_and_spawner(
                 clock.clone(),
                 topo,
                 jsym_net::NetworkConfig {
                     shared_segments: self.shared_segments.clone(),
                     batching: self.rmi_batching.clone(),
-                    deliver_via_hook: exec.is_some(),
                     ..jsym_net::NetworkConfig::default()
                 },
                 obs.clone(),
-                spawner,
+                Some(spawner),
             )
         };
         let pool = ResourcePool::new();
@@ -431,7 +411,6 @@ impl JsShell {
             nodes: RwLock::new(HashMap::new()),
             apps: RwLock::new(HashMap::new()),
             automigration: AtomicBool::new(self.automigration),
-            automigrate_dirty: AtomicBool::new(self.automigrate_dirty_set),
             automigrate_rounds: AtomicU64::new(0),
             affinity,
             affinity_placement: AtomicBool::new(self.affinity.placement),
@@ -498,10 +477,13 @@ impl Default for JsShell {
     }
 }
 
-pub(crate) struct NodeRuntimeHandle {
-    pub shared: Arc<NodeShared>,
-    pub threads: Vec<JoinHandle<()>>,
-}
+/// Executor workers of a deployment whose shell did not size it. Measured,
+/// not guessed (DESIGN.md §13, `perf/` on a 2-CPU host): with 2 the Figure 5
+/// cells run at 0.34 per second instead of 0.41 and their slow half takes a
+/// quarter longer; with one per node of the 13-node column a cell costs 40 %
+/// more CPU and the slow half of a synchronous local RMI is 19 % slower; 4
+/// holds all three.
+pub const DEFAULT_EXECUTOR_WORKERS: usize = 4;
 
 pub(crate) struct DeploymentInner {
     pub clock: SimClock,
@@ -514,10 +496,9 @@ pub(crate) struct DeploymentInner {
     pub obs: jsym_obs::ObsRegistry,
     pub cost: CostModel,
     pub config: JsShell,
-    pub nodes: RwLock<HashMap<NodeId, NodeRuntimeHandle>>,
+    pub nodes: RwLock<HashMap<NodeId, Arc<NodeShared>>>,
     pub apps: RwLock<HashMap<AppId, Arc<AppShared>>>,
     pub automigration: AtomicBool,
-    pub automigrate_dirty: AtomicBool,
     pub automigrate_rounds: AtomicU64,
     /// Decayed caller→object traffic counters (recording gated internally).
     pub affinity: Arc<jsym_net::AffinityTracker>,
@@ -529,8 +510,8 @@ pub(crate) struct DeploymentInner {
     pub affinity_rounds: AtomicU64,
     /// Client view of the replicated directory (`None` = legacy resolution).
     pub dir: Option<Arc<crate::dir::DirCluster>>,
-    /// The deployment-wide work-stealing executor (`None` = threaded mode).
-    pub exec: Option<Arc<jsym_exec::Executor>>,
+    /// The deployment-wide work-stealing executor.
+    pub exec: Arc<jsym_exec::Executor>,
     pub shutdown: AtomicBool,
     pub threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -581,7 +562,9 @@ pub struct NodeStats {
     pub objects_hosted: usize,
     /// Monitoring rounds completed by the NA.
     pub monitor_rounds: u64,
-    /// Transient worker threads spawned because the resident pool was full.
+    /// Always 0: nodes have no thread pool of their own any more (blocked
+    /// workers are compensated by executor spares, see
+    /// [`jsym_exec::ExecStats::spare_spawns`]). Kept for readers of the field.
     pub transient_workers: u64,
 }
 
@@ -632,19 +615,15 @@ impl Deployment {
             stats: StatCounters::default(),
             events: inner.events.clone(),
             obs: inner.obs.clone(),
-            workers: match &inner.exec {
-                Some(e) => runtime::Workers::Exec(Arc::clone(e)),
-                None => runtime::Workers::Pool(runtime::WorkerPool::new(&format!("{phys}"), 3)),
-            },
+            workers: Arc::clone(&inner.exec),
             dir,
             dir_host,
             shutdown: AtomicBool::new(false),
         });
-        // Local deliveries bypass the mailbox and dispatch straight into the
-        // runtime from the delivery plane's drainer. The
-        // hook holds the node weakly: shutdown drops the runtime even if
-        // the network outlives it, and a hook firing during teardown is a
-        // no-op.
+        // Deliveries dispatch straight into the runtime from the delivery
+        // plane's drain task. The hook holds the node weakly: shutdown drops
+        // the runtime even if the network outlives it, and a hook firing
+        // during teardown is a no-op.
         {
             let weak = Arc::downgrade(&shared);
             inner.network.set_local_hook(
@@ -658,54 +637,14 @@ impl Deployment {
                 }),
             );
         }
-        // Register only after the hook is installed: in executor mode every
-        // delivery is hook-routed and the mailbox has no receiver thread, so
-        // nothing must ever be able to land in it.
-        let rx = inner.network.register(phys);
-        let mut threads = Vec::new();
-        if let Some(exec) = &inner.exec {
-            // No per-node threads: deliveries dispatch through the hook on
-            // delivery-plane tasks; NA rounds and directory ticks are
-            // self-re-arming timer tasks on the shared executor.
-            drop(rx);
-            na::schedule_monitor(Arc::clone(&shared), inner.vda.clone(), Arc::clone(exec));
-            if shared.dir_host.is_some() {
-                crate::dir::schedule_dir_ticker(Arc::clone(&shared), Arc::clone(exec));
-            }
-        } else {
-            {
-                let sh = Arc::clone(&shared);
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("jsym-{phys}-recv"))
-                        .spawn(move || runtime::run_receiver(sh, rx))
-                        .expect("spawn receiver"),
-                );
-            }
-            {
-                let sh = Arc::clone(&shared);
-                let vda = inner.vda.clone();
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("jsym-{phys}-na"))
-                        .spawn(move || na::run_na(sh, vda))
-                        .expect("spawn NA"),
-                );
-            }
-            if shared.dir_host.is_some() {
-                let sh = Arc::clone(&shared);
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("jsym-{phys}-dir"))
-                        .spawn(move || crate::dir::run_dir_ticker(sh))
-                        .expect("spawn dir ticker"),
-                );
-            }
-        }
-        inner
-            .nodes
-            .write()
-            .insert(phys, NodeRuntimeHandle { shared, threads });
+        // Register only after the hook is installed: every delivery is
+        // hook-routed and nothing reads the mailbox, so nothing must ever be
+        // able to land in it.
+        drop(inner.network.register(phys));
+        // NA rounds and directory ticks are self-re-arming timer tasks.
+        na::schedule_monitor(Arc::clone(&shared), inner.vda.clone());
+        crate::dir::schedule_dir_ticker(Arc::clone(&shared));
+        inner.nodes.write().insert(phys, shared);
         phys
     }
 
@@ -773,13 +712,13 @@ impl Deployment {
         let app = Arc::new(AppShared {
             id: IdGen::app(),
             home,
-            node: Arc::downgrade(&node.shared),
+            node: Arc::downgrade(node),
             pool: self.inner.pool.clone(),
             vda: self.inner.vda.clone(),
             objects: Mutex::new(HashMap::new()),
             unregistered: AtomicBool::new(false),
         });
-        node.shared.apps.write().insert(app.id, Arc::clone(&app));
+        node.apps.write().insert(app.id, Arc::clone(&app));
         self.inner.apps.write().insert(app.id, Arc::clone(&app));
         Ok(JsRegistration::new(app))
     }
@@ -800,7 +739,7 @@ impl Deployment {
         {
             let nodes = self.inner.nodes.read();
             let handle = nodes.get(&phys).ok_or(JsError::NodeUnreachable(phys))?;
-            let hosted = handle.shared.objects.lock().len();
+            let hosted = handle.objects.lock().len();
             if hosted > 0 {
                 return Err(JsError::PlacementFailed(format!(
                     "{phys} still hosts {hosted} object(s); migrate or free them first"
@@ -819,24 +758,21 @@ impl Deployment {
             nodes.remove(&phys)
         };
         if let Some(handle) = handle {
-            handle.shared.shutdown.store(true, Ordering::Relaxed);
-            handle.shared.calls.fail_all(JsError::ShuttingDown);
+            handle.shutdown.store(true, Ordering::Relaxed);
+            handle.calls.fail_all(JsError::ShuttingDown);
             self.inner.network.unregister(phys);
-            for t in handle.threads {
-                let _ = t.join();
-            }
         }
         self.inner.pool.remove_machine(phys);
         Ok(())
     }
 
     /// Kills a machine: its endpoint drops off the network and its runtime
-    /// threads stop. Failure *detection* is left to the NAS heartbeats.
+    /// tasks stop. Failure *detection* is left to the NAS heartbeats.
     pub fn kill_node(&self, phys: NodeId) {
         self.inner.network.kill_node(phys);
         if let Some(handle) = self.inner.nodes.read().get(&phys) {
-            handle.shared.shutdown.store(true, Ordering::Relaxed);
-            handle.shared.calls.fail_all(JsError::NodeUnreachable(phys));
+            handle.shutdown.store(true, Ordering::Relaxed);
+            handle.calls.fail_all(JsError::NodeUnreachable(phys));
         }
     }
 
@@ -844,33 +780,25 @@ impl Deployment {
     /// performance measurement and collection periods can be controlled
     /// under the JS-Shell").
     pub fn set_monitor_period(&self, secs: f64) {
-        for handle in self.inner.nodes.read().values() {
-            handle.shared.na.knobs.set_monitor_period(secs);
-        }
         // The aggregation plane's sample TTL tracks the monitoring period.
         self.inner.vda.set_plane_ttl(secs);
-        // Executor mode: each node's monitor chain is an already-armed timer
-        // task that would only pick up the new period after its old deadline
-        // fires. Re-arm with the new period now; bumping the generation
-        // counter first makes the superseded chain die at its next firing
-        // instead of running duplicate rounds alongside the new chain.
-        if let Some(exec) = &self.inner.exec {
-            for handle in self.inner.nodes.read().values() {
-                handle.shared.na.timer_gen.fetch_add(1, Ordering::Relaxed);
-                na::schedule_monitor(
-                    Arc::clone(&handle.shared),
-                    self.inner.vda.clone(),
-                    Arc::clone(exec),
-                );
-            }
+        // Each node's monitor chain is an already-armed timer task that would
+        // only pick up the new period after its old deadline fires. Re-arm
+        // with the new period now; bumping the generation counter first makes
+        // the superseded chain die at its next firing instead of running
+        // duplicate rounds alongside the new chain.
+        for node in self.inner.nodes.read().values() {
+            node.na.knobs.set_monitor_period(secs);
+            node.na.timer_gen.fetch_add(1, Ordering::Relaxed);
+            na::schedule_monitor(Arc::clone(node), self.inner.vda.clone());
         }
     }
 
     /// Changes the NAS failure timeout at runtime (JS-Shell, §5.1: the
     /// no-response period is "changeable under JS-Shell").
     pub fn set_failure_timeout(&self, secs: f64) {
-        for handle in self.inner.nodes.read().values() {
-            handle.shared.na.knobs.set_failure_timeout(secs);
+        for node in self.inner.nodes.read().values() {
+            node.na.knobs.set_failure_timeout(secs);
         }
     }
 
@@ -882,19 +810,6 @@ impl Deployment {
     /// Whether automatic migration is currently enabled.
     pub fn automigration_enabled(&self) -> bool {
         self.inner.automigration.load(Ordering::Relaxed)
-    }
-
-    /// Switches automigrate rounds between dirty-set scans (re-evaluate only
-    /// nodes whose cached sample changed) and full scans (JS-Shell toggle).
-    pub fn set_automigrate_dirty(&self, enabled: bool) {
-        self.inner
-            .automigrate_dirty
-            .store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether automigrate rounds use dirty-set scans.
-    pub fn automigrate_dirty_enabled(&self) -> bool {
-        self.inner.automigrate_dirty.load(Ordering::Relaxed)
     }
 
     /// Statistics of the parameter aggregation plane (cache hits/misses,
@@ -945,8 +860,8 @@ impl Deployment {
         let nodes = self.inner.nodes.read();
         let mut out: Vec<crate::DirectoryStatus> = nodes
             .values()
-            .filter(|h| !h.shared.shutdown.load(Ordering::Relaxed))
-            .filter_map(|h| h.shared.dir_host.as_ref().map(|host| host.status()))
+            .filter(|h| !h.shutdown.load(Ordering::Relaxed))
+            .filter_map(|h| h.dir_host.as_ref().map(|host| host.status()))
             .collect();
         out.sort_by_key(|s| s.node);
         out
@@ -958,8 +873,8 @@ impl Deployment {
     pub fn node_stats(&self, phys: NodeId) -> Option<NodeStats> {
         let nodes = self.inner.nodes.read();
         let h = nodes.get(&phys)?;
-        let s = &h.shared.stats;
-        let objects_hosted = h.shared.objects.lock().len();
+        let s = &h.stats;
+        let objects_hosted = h.objects.lock().len();
         Some(NodeStats {
             invocations: s.invocations.load(Ordering::Relaxed),
             creations: s.creations.load(Ordering::Relaxed),
@@ -968,22 +883,14 @@ impl Deployment {
             artifact_bytes: s.artifact_bytes.load(Ordering::Relaxed),
             stores: s.stores.load(Ordering::Relaxed),
             objects_hosted,
-            monitor_rounds: h.shared.na.rounds.load(Ordering::Relaxed),
-            transient_workers: h.shared.workers.transient_spawns(),
+            monitor_rounds: h.na.rounds.load(Ordering::Relaxed),
+            transient_workers: 0,
         })
     }
 
     /// The latest NA snapshot of a node (None before the first round).
     pub fn latest_snapshot(&self, phys: NodeId) -> Option<SysSnapshot> {
-        self.inner
-            .nodes
-            .read()
-            .get(&phys)?
-            .shared
-            .na
-            .latest
-            .lock()
-            .clone()
+        self.inner.nodes.read().get(&phys)?.na.latest.lock().clone()
     }
 
     /// A manager-side aggregate computed by the NAS, by component label
@@ -993,7 +900,6 @@ impl Deployment {
             .nodes
             .read()
             .get(&manager)?
-            .shared
             .na
             .aggregated
             .lock()
@@ -1008,7 +914,7 @@ impl Deployment {
             .read()
             .get(&phys)
             .map(|h| {
-                let mut v: Vec<String> = h.shared.loaded.lock().iter().cloned().collect();
+                let mut v: Vec<String> = h.loaded.lock().iter().cloned().collect();
                 v.sort();
                 v
             })
@@ -1049,22 +955,15 @@ impl Deployment {
         &self.inner
     }
 
-    /// Stops every runtime thread and the network. Idempotent; also runs on
-    /// drop of the last clone.
+    /// Stops every node runtime, the supervisor threads, the network and the
+    /// executor. Idempotent; also runs on drop of the last clone.
     pub fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        for handle in self.inner.nodes.read().values() {
-            handle.shared.shutdown.store(true, Ordering::Relaxed);
-            handle.shared.calls.fail_all(JsError::ShuttingDown);
-        }
-        // Join node threads.
-        let mut nodes = std::mem::take(&mut *self.inner.nodes.write());
-        for (_, handle) in nodes.drain() {
-            for t in handle.threads {
-                let _ = t.join();
-            }
+        for node in std::mem::take(&mut *self.inner.nodes.write()).values() {
+            node.shutdown.store(true, Ordering::Relaxed);
+            node.calls.fail_all(JsError::ShuttingDown);
         }
         let mut threads = std::mem::take(&mut *self.inner.threads.lock());
         for t in threads.drain(..) {
@@ -1073,19 +972,18 @@ impl Deployment {
         self.inner.network.shutdown();
         // Last: the executor joins its workers and drops every pending
         // task (each holds an `Arc<NodeShared>` keeping its runtime alive).
-        if let Some(e) = &self.inner.exec {
-            e.shutdown();
-        }
+        self.inner.exec.shutdown();
     }
 
-    /// Worker threads of the work-stealing executor (`0` = threaded mode).
+    /// Base worker threads of the executor.
     pub fn executor_threads(&self) -> usize {
-        self.inner.exec.as_ref().map(|e| e.threads()).unwrap_or(0)
+        self.inner.exec.threads()
     }
 
-    /// Point-in-time executor counters (`None` in threaded mode).
+    /// Point-in-time executor counters. Always `Some`: the executor is the
+    /// only runtime (the `Option` is what callers already compile against).
     pub fn exec_stats(&self) -> Option<jsym_exec::ExecStats> {
-        self.inner.exec.as_ref().map(|e| e.stats())
+        Some(self.inner.exec.stats())
     }
 }
 
@@ -1129,9 +1027,9 @@ fn run_role_mirror(
             .nodes
             .read()
             .values()
-            .filter(|h| !h.shared.shutdown.load(Ordering::Relaxed))
-            .map(|h| Arc::clone(&h.shared))
-            .min_by_key(|s| s.phys);
+            .filter(|h| !h.shutdown.load(Ordering::Relaxed))
+            .min_by_key(|s| s.phys)
+            .cloned();
         drop(inner);
         if let Some(s) = shared {
             let _ = crate::dir::propose(&s, &cmd);
@@ -1145,13 +1043,11 @@ impl Drop for DeploymentInner {
         // joining (joining from drop of the map they reference is fine here
         // because we own everything now).
         self.shutdown.store(true, Ordering::SeqCst);
-        for handle in self.nodes.read().values() {
-            handle.shared.shutdown.store(true, Ordering::Relaxed);
+        for node in self.nodes.read().values() {
+            node.shutdown.store(true, Ordering::Relaxed);
         }
         self.network.shutdown();
-        if let Some(e) = &self.exec {
-            e.shutdown();
-        }
+        self.exec.shutdown();
     }
 }
 

@@ -89,9 +89,12 @@ fn stale_cache_entry_does_not_mask_failover_recovery() {
         Value::I64(41)
     );
 
+    // The target's own checkpoint, not just any: a round persists objects
+    // in hash-map order, and only what was checkpointed can be recovered.
+    let target_ckpt = format!("__ckpt_{}", target.handle().id.0);
     wait_until(
-        || d.store().keys().iter().any(|k| k.starts_with("__ckpt_")),
-        "first checkpoint",
+        || d.store().keys().contains(&target_ckpt),
+        "the target's first checkpoint",
     );
     d.kill_node(NodeId(2));
     wait_until(|| d.vda().is_failed(NodeId(2)), "failure detection");

@@ -1,7 +1,7 @@
-//! Regression test: `set_monitor_period` in executor mode re-arms the NA
-//! monitor timer chain exactly once.
+//! Regression test: `set_monitor_period` re-arms the NA monitor timer chain
+//! exactly once.
 //!
-//! The executor-mode NA runs as a self-re-arming timer task. Changing the
+//! The NA runs as a self-re-arming timer task. Changing the
 //! monitoring period re-arms a fresh chain so a shortened period takes
 //! effect immediately — but the already-scheduled old chain must be
 //! invalidated (via the per-node timer generation), otherwise every

@@ -1,15 +1,15 @@
-//! A sized work-stealing executor: cores-many worker threads onto which node
-//! mailboxes, object executors, NA monitor rounds, and directory replica ticks
-//! are scheduled as cooperatively-yielding tasks.
+//! A sized work-stealing executor: the one runtime every deployment runs on.
+//! Delivery drains, object executors, NA monitor rounds and directory replica
+//! ticks are scheduled onto its workers as cooperatively-yielding tasks.
 //!
-//! The runtime's legacy model spawns OS threads per node (receiver, NA loop,
-//! worker pool), which caps simulated cluster size at a few hundred nodes.
-//! This crate provides the alternative: a fixed pool of workers fed by
-//! per-worker striped inject queues (round-robin placement, targeted parker
-//! wakeups) plus per-worker run queues with stealing, and a single timer
-//! thread that releases [`Executor::spawn_at`] jobs at their real deadline.
+//! A fixed pool of workers is fed by per-worker striped inject queues
+//! (round-robin placement, targeted parker wakeups) plus per-worker run
+//! deques with stealing, and a single timer thread releases
+//! [`Executor::spawn_at`] jobs at their real deadline. A job spawned *from a
+//! worker* goes to that worker's own deque and wakes nobody: the worker runs
+//! it next, so a request → dispatch → reply chain stays on one thread.
 //! Queues are short-critical-section mutexed `VecDeque`s rather than lock-free
-//! Chase-Lev deques: jobs here are node mailbox drains and RMI dispatches that
+//! Chase-Lev deques: jobs here are delivery drains and RMI dispatches that
 //! run for microseconds to milliseconds, so queue-op cost is noise and the
 //! lock-based scheme is trivially sound.
 //!
@@ -42,8 +42,9 @@ use std::time::{Duration, Instant};
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
 thread_local! {
-    /// The executor owning the current worker thread, if any.
-    static CURRENT: RefCell<Option<Arc<Inner>>> = const { RefCell::new(None) };
+    /// The executor owning the current worker thread and that worker's slot,
+    /// if any.
+    static CURRENT: RefCell<Option<(Arc<Inner>, Arc<WorkerSlot>)>> = const { RefCell::new(None) };
 }
 
 /// A mutexed FIFO run queue. Owners pop the front; thieves steal from the
@@ -54,8 +55,12 @@ struct JobQueue {
 }
 
 impl JobQueue {
-    fn push_back(&self, job: Job) {
-        self.q.lock().push_back(job);
+    /// Appends `job`; returns whether jobs were already queued ahead of it.
+    fn push_back(&self, job: Job) -> bool {
+        let mut q = self.q.lock();
+        let backlog = !q.is_empty();
+        q.push_back(job);
+        backlog
     }
 
     fn pop_front(&self) -> Option<Job> {
@@ -82,8 +87,15 @@ impl JobQueue {
         Some(first)
     }
 
-    fn is_empty(&self) -> bool {
-        self.q.lock().is_empty()
+    /// Moves every queued job to the back of `other`, in order; returns
+    /// whether any moved. The two locks are never held together.
+    fn move_all_to(&self, other: &JobQueue) -> bool {
+        let mut jobs = std::mem::take(&mut *self.q.lock());
+        if jobs.is_empty() {
+            return false;
+        }
+        other.q.lock().append(&mut jobs);
+        true
     }
 
     fn clear(&self) {
@@ -251,7 +263,7 @@ struct Inner {
     spare_spawns: AtomicU64,
     wakes_targeted: AtomicU64,
     wakes_escalated: AtomicU64,
-    obs: Option<ObsHandles>,
+    obs: ObsHandles,
 }
 
 struct ObsHandles {
@@ -297,12 +309,13 @@ impl Executor {
     /// Start an executor with `threads` base workers (clamped to at least 1)
     /// and no metrics.
     pub fn new(threads: usize) -> Arc<Executor> {
-        Self::build(threads, None)
+        Self::with_obs(threads, jsym_obs::ObsRegistry::disabled())
     }
 
-    /// Start an executor exporting `exec.*` gauges/counters into `obs`.
+    /// Start an executor exporting `exec.*` gauges/counters into `obs`
+    /// (handles of a disabled registry record nothing).
     pub fn with_obs(threads: usize, obs: jsym_obs::ObsRegistry) -> Arc<Executor> {
-        let handles = ObsHandles {
+        let obs = ObsHandles {
             queue_depth: obs.gauge("exec.queue_depth", None, "exec"),
             blocked: obs.gauge("exec.blocked", None, "exec"),
             spares: obs.gauge("exec.spares", None, "exec"),
@@ -312,10 +325,6 @@ impl Executor {
             wake_targeted: obs.counter("exec.wake.targeted", None, "exec"),
             wake_escalated: obs.counter("exec.wake.escalated", None, "exec"),
         };
-        Self::build(threads, Some(handles))
-    }
-
-    fn build(threads: usize, obs: Option<ObsHandles>) -> Arc<Executor> {
         let base = threads.max(1);
         let stripes = (0..base)
             .map(|_| JobQueue::default())
@@ -387,8 +396,17 @@ impl Executor {
     }
 
     /// Schedule `job` to run at (not before) the real-time instant `at`.
-    /// Jobs with equal deadlines run in submission order.
+    /// Jobs with equal *future* deadlines run in submission order. A job
+    /// whose deadline has already passed skips the timer thread and is
+    /// spawned directly, so it may overtake a timer entry that is due but not
+    /// yet released; callers that need order across that edge keep their own
+    /// `(due, seq)` queue and use these jobs only as wake-ups (as the
+    /// delivery plane does).
     pub fn spawn_at(&self, at: Instant, job: Job) {
+        if at <= Instant::now() {
+            self.inner.spawn(job);
+            return;
+        }
         let mut st = self.inner.timer.lock();
         if st.shutdown {
             return;
@@ -454,9 +472,7 @@ impl Executor {
             s.clear();
         }
         self.inner.depth.store(0, Ordering::Relaxed);
-        if let Some(o) = &self.inner.obs {
-            o.queue_depth.set(0.0);
-        }
+        self.inner.obs.queue_depth.set(0.0);
     }
 }
 
@@ -476,16 +492,51 @@ impl Inner {
         if self.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let n = self.stripes.len();
-        let i = (self.rr.fetch_add(1, Ordering::Relaxed) as usize) % n;
-        // The push must precede the unpark: the parker protocol's
+        // From one of our own workers the job goes to that worker's deque.
+        let queued = CURRENT.with(|c| match &*c.borrow() {
+            Some((inner, slot)) if Arc::ptr_eq(inner, self) => Ok(slot.local.push_back(job)),
+            _ => Err(job),
+        });
+        // Either way the push must precede the unpark: the parker protocol's
         // no-stranded-job guarantee hangs on that order.
-        self.stripes[i].push_back(job);
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = &self.obs {
-            o.queue_depth.set(self.queue_depth() as f64);
+        match queued {
+            // The worker pops its deque first once its current job returns,
+            // so nobody is woken — unless jobs are already waiting there, in
+            // which case a parked peer is roused to steal. `blocking`
+            // flushes the deque before it waits.
+            Ok(backlog) => {
+                self.note_queued();
+                if backlog {
+                    self.wake_any(None);
+                }
+            }
+            Err(job) => {
+                let i = (self.rr.fetch_add(1, Ordering::Relaxed) as usize) % self.stripes.len();
+                self.stripes[i].push_back(job);
+                self.note_queued();
+                self.wake_for(i);
+            }
         }
-        self.wake_for(i);
+    }
+
+    fn note_queued(&self) {
+        self.depth.fetch_add(1, Ordering::SeqCst);
+        self.obs.queue_depth.set(self.queue_depth() as f64);
+    }
+
+    /// Wakes the first parked worker other than base worker `skip`; counts as
+    /// an escalated wake.
+    fn wake_any(&self, skip: Option<usize>) {
+        let woke = self
+            .base_slots
+            .iter()
+            .enumerate()
+            .any(|(j, s)| Some(j) != skip && s.parker.unpark())
+            || self.extra_slots.read().iter().any(|s| s.parker.unpark());
+        if woke {
+            self.wakes_escalated.fetch_add(1, Ordering::Relaxed);
+            self.obs.wake_escalated.inc();
+        }
     }
 
     /// Wake at most one worker for a job pushed to stripe `i`: the stripe's
@@ -494,44 +545,14 @@ impl Inner {
     fn wake_for(&self, i: usize) {
         if self.base_slots[i].parker.unpark() {
             self.wakes_targeted.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = &self.obs {
-                o.wake_targeted.inc();
-            }
+            self.obs.wake_targeted.inc();
         } else {
-            let mut woke = false;
-            for (j, s) in self.base_slots.iter().enumerate() {
-                if j != i && s.parker.unpark() {
-                    woke = true;
-                    break;
-                }
-            }
-            if !woke {
-                for s in self.extra_slots.read().iter() {
-                    if s.parker.unpark() {
-                        woke = true;
-                        break;
-                    }
-                }
-            }
-            if woke {
-                self.wakes_escalated.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = &self.obs {
-                    o.wake_escalated.inc();
-                }
-            }
+            self.wake_any(Some(i));
         }
         // Backlog escalation: the queues are outrunning the pool, so one
         // wake per spawn is not enough — rouse one more parked worker.
         if self.depth.load(Ordering::Relaxed) > self.base_slots.len() as i64 {
-            for s in self.base_slots.iter() {
-                if s.parker.unpark() {
-                    self.wakes_escalated.fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = &self.obs {
-                        o.wake_escalated.inc();
-                    }
-                    break;
-                }
-            }
+            self.wake_any(None);
         }
     }
 
@@ -542,10 +563,8 @@ impl Inner {
             cap.live += 1;
             cap.spares += 1;
             self.spare_spawns.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = &self.obs {
-                o.spare_spawns.inc();
-                o.spares.set(cap.spares as f64);
-            }
+            self.obs.spare_spawns.inc();
+            self.obs.spares.set(cap.spares as f64);
             let slot = Arc::new(WorkerSlot {
                 local: JobQueue::default(),
                 // Spares inherit a stripe round-robin so their leftovers and
@@ -594,16 +613,18 @@ fn spawn_worker(
         .expect("spawn executor worker")
 }
 
-/// Push batch-grabbed leftovers back where other workers can see them, so a
-/// retirement or shutdown racing a grab does not strand them invisibly.
-fn requeue_leftovers(inner: &Inner, slot: &WorkerSlot) {
-    while let Some(job) = slot.local.pop_front() {
-        inner.stripes[slot.stripe % inner.stripes.len()].push_back(job);
-    }
+/// Push the worker's deque (batch-grabbed leftovers, locally spawned jobs)
+/// back onto its stripe, where every worker looks before it steals. Returns
+/// the stripe if anything moved.
+fn requeue_local(inner: &Inner, slot: &WorkerSlot) -> Option<usize> {
+    let stripe = slot.stripe % inner.stripes.len();
+    slot.local
+        .move_all_to(&inner.stripes[stripe])
+        .then_some(stripe)
 }
 
 fn worker_loop(inner: &Arc<Inner>, slot: &Arc<WorkerSlot>, spare: bool) {
-    CURRENT.with(|c| *c.borrow_mut() = Some(Arc::clone(inner)));
+    CURRENT.with(|c| *c.borrow_mut() = Some((Arc::clone(inner), Arc::clone(slot))));
     loop {
         if inner.shutdown.load(Ordering::Acquire) {
             break;
@@ -622,11 +643,9 @@ fn worker_loop(inner: &Arc<Inner>, slot: &Arc<WorkerSlot>, spare: bool) {
                     cap.blocked,
                     inner.base
                 );
-                if let Some(o) = &inner.obs {
-                    o.spares.set(cap.spares as f64);
-                }
+                inner.obs.spares.set(cap.spares as f64);
                 drop(cap);
-                requeue_leftovers(inner, slot);
+                requeue_local(inner, slot);
                 break;
             }
         }
@@ -635,7 +654,7 @@ fn worker_loop(inner: &Arc<Inner>, slot: &Arc<WorkerSlot>, spare: bool) {
             None => park(inner, slot),
         }
     }
-    requeue_leftovers(inner, slot);
+    requeue_local(inner, slot);
     CURRENT.with(|c| *c.borrow_mut() = None);
     if spare {
         let mut extras = inner.extra_slots.write();
@@ -649,9 +668,7 @@ fn find_job(inner: &Arc<Inner>, slot: &Arc<WorkerSlot>) -> Option<Job> {
         // The job leaves the queue accounting only now that a worker is
         // actually about to run it.
         inner.depth.fetch_sub(1, Ordering::Relaxed);
-        if let Some(o) = &inner.obs {
-            o.queue_depth.set(inner.queue_depth() as f64);
-        }
+        inner.obs.queue_depth.set(inner.queue_depth() as f64);
     }
     job
 }
@@ -678,9 +695,7 @@ fn find_queued(inner: &Arc<Inner>, slot: &Arc<WorkerSlot>) -> Option<Job> {
         }
         let job = s.local.steal_back()?;
         inner.steals.fetch_add(1, Ordering::Relaxed);
-        if let Some(o) = &inner.obs {
-            o.steals.inc();
-        }
+        inner.obs.steals.inc();
         Some(job)
     };
     for s in inner.base_slots.iter() {
@@ -699,20 +714,20 @@ fn find_queued(inner: &Arc<Inner>, slot: &Arc<WorkerSlot>) -> Option<Job> {
 fn park(inner: &Arc<Inner>, slot: &Arc<WorkerSlot>) {
     // Dekker order: publish PARKED *before* the final queue re-check, so a
     // concurrent spawn either sees PARKED (and unparks us) or we see its job
-    // here.
+    // here. The re-check reads `depth`, which also counts jobs in other
+    // workers' deques: a job spawned locally by a worker that is still busy
+    // wakes nobody, so a worker must not park past it.
     if !slot.parker.prepare() {
         return;
     }
-    if inner.shutdown.load(Ordering::Acquire) || !inner.stripes.iter().all(|s| s.is_empty()) {
+    if inner.shutdown.load(Ordering::Acquire) || inner.depth.load(Ordering::SeqCst) > 0 {
         slot.parker.cancel();
         return;
     }
     inner.parks.fetch_add(1, Ordering::Relaxed);
-    if let Some(o) = &inner.obs {
-        o.parks.inc();
-    }
-    // The timeout doubles as the steal-retry cadence: work sitting in
-    // another worker's local queue is invisible to the stripe check.
+    inner.obs.parks.inc();
+    // The timeout bounds how long a job queued locally just after the
+    // re-check above (by a worker that then stays busy) waits for a thief.
     slot.parker.park(Duration::from_millis(1));
 }
 
@@ -748,32 +763,29 @@ fn timer_loop(inner: &Arc<Inner>) {
 /// synchronous call waits, result-handle gets, contended object locks. Also
 /// used for long simulated compute sleeps so they don't serialise the pool.
 pub fn blocking<T>(f: impl FnOnce() -> T) -> T {
-    let Some(inner) = CURRENT.with(|c| c.borrow().clone()) else {
+    let Some((inner, slot)) = CURRENT.with(|c| c.borrow().clone()) else {
         return f();
     };
+    // This worker is about to stop popping its own deque, and what it waits
+    // for may be sitting there: hand the deque to the stripe (before the
+    // ledger can start a spare, so the spare finds the jobs without
+    // stealing) and wake one worker for it.
+    if let Some(stripe) = requeue_local(&inner, &slot) {
+        inner.wake_for(stripe);
+    }
     {
         let mut cap = inner.cap.lock();
         cap.blocked += 1;
-        if let Some(o) = &inner.obs {
-            o.blocked.set(cap.blocked as f64);
-        }
+        inner.obs.blocked.set(cap.blocked as f64);
         inner.compensate(&mut cap);
     }
     let out = f();
     {
         let mut cap = inner.cap.lock();
         cap.blocked -= 1;
-        if let Some(o) = &inner.obs {
-            o.blocked.set(cap.blocked as f64);
-        }
+        inner.obs.blocked.set(cap.blocked as f64);
     }
     out
-}
-
-/// True when the calling thread is an executor worker (so runtime code can
-/// pick cooperative yields over unbounded drains).
-pub fn on_executor() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
 }
 
 #[cfg(test)]
@@ -816,6 +828,77 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(*order.lock(), vec!["a", "a2", "b", "c"]);
+        ex.shutdown();
+    }
+
+    #[test]
+    fn due_now_spawn_at_skips_the_timer_thread() {
+        let ex = Executor::new(1);
+        let (tx, rx) = mpsc::channel();
+        ex.spawn_at(
+            Instant::now(),
+            Box::new(move || {
+                let _ = tx.send(std::thread::current().name().map(str::to_owned));
+            }),
+        );
+        // Never armed on the heap: it went straight to a run queue.
+        assert_eq!(ex.stats().timer_pending, 0);
+        let ran_on = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(ran_on.as_deref(), Some("jsym-exec-w0"));
+        ex.shutdown();
+    }
+
+    #[test]
+    fn local_spawn_is_stolen_while_the_spawner_stays_busy() {
+        // A worker spawns a job (its own deque, nobody woken) and then runs
+        // on for 20 ms without blocking. The idle peer must pick the job up
+        // on its park cadence, not after the spawner is done.
+        let ex = Executor::new(2);
+        let (tx, rx) = mpsc::channel();
+        let ex2 = Arc::clone(&ex);
+        ex.spawn(Box::new(move || {
+            let me = std::thread::current().id();
+            let spawned = Instant::now();
+            let tx2 = tx.clone();
+            ex2.spawn(Box::new(move || {
+                let _ = tx2.send((spawned.elapsed(), std::thread::current().id() != me));
+            }));
+            drop(ex2);
+            std::thread::sleep(Duration::from_millis(20));
+        }));
+        let (waited, on_peer) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(on_peer, "the busy spawner cannot have run it");
+        // In practice within two 1 ms park timeouts; the bound only has to
+        // separate that from "after the spawner's 20 ms".
+        assert!(waited < Duration::from_millis(10), "waited {waited:?}");
+        assert_eq!(ex.stats().steals, 1);
+        ex.shutdown();
+    }
+
+    #[test]
+    fn local_spawn_then_blocking_hands_the_job_over() {
+        // One worker: it spawns the job that releases it into its own deque
+        // and then blocks. The deque is flushed to the stripe on `blocking`
+        // entry, so the compensation spare finds the job where every worker
+        // looks first instead of having to steal it.
+        let ex = Executor::new(1);
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let ex2 = Arc::clone(&ex);
+        ex.spawn(Box::new(move || {
+            let (tx, rx) = mpsc::channel::<()>();
+            ex2.spawn(Box::new(move || {
+                let _ = tx.send(());
+            }));
+            drop(ex2);
+            blocking(|| rx.recv().unwrap());
+            let _ = done_tx.send(());
+        }));
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the locally spawned job must run while its spawner waits");
+        let stats = ex.stats();
+        assert_eq!(stats.spare_spawns, 1);
+        assert_eq!(stats.steals, 0, "the job was left in the blocked deque");
         ex.shutdown();
     }
 
@@ -960,6 +1043,5 @@ mod tests {
     #[test]
     fn blocking_outside_executor_is_passthrough() {
         assert_eq!(blocking(|| 41 + 1), 42);
-        assert!(!on_executor());
     }
 }

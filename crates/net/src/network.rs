@@ -61,13 +61,6 @@ pub struct NetworkConfig {
     /// wire charge per batch (`None` = per-message charging, the default).
     /// Node-local traffic is never batched.
     pub batching: Option<BatchConfig>,
-    /// Route *all* deliveries (not just node-local ones) through the
-    /// destination's [`Network::set_local_hook`] instead of its mailbox
-    /// channel. The executor runtime sets this: with no per-node receiver
-    /// threads, the hook is the only dispatcher, and it must be installed
-    /// *before* the node's endpoint registers so nothing lands in the unread
-    /// mailbox. Nodes without a hook fall back to the mailbox as before.
-    pub deliver_via_hook: bool,
 }
 
 impl Default for NetworkConfig {
@@ -76,7 +69,6 @@ impl Default for NetworkConfig {
             mailbox_capacity: 4096,
             shared_segments: Vec::new(),
             batching: None,
-            deliver_via_hook: false,
         }
     }
 }
@@ -163,9 +155,6 @@ struct Routing {
     faults: AtomicUsize,
     /// Delivery hooks (see [`Network::set_local_hook`]).
     hooks: RwLock<HashMap<NodeId, LocalHook>>,
-    /// Mirror of [`NetworkConfig::deliver_via_hook`]: prefer the hook for
-    /// *all* destinations, not just node-local ones.
-    via_hook: bool,
     /// Process-unique instance id keying the per-thread endpoint caches.
     id: u64,
     /// Directory generation: bumped by `register`/`unregister`/
@@ -296,21 +285,17 @@ impl Routing {
             self.drop_env(&env);
             return;
         }
-        if env.src == env.dst || self.via_hook {
-            // Node-local delivery: hand to the hook, never the mailbox. The
-            // plane has one drainer, so hook calls are already serialized.
-            // In hook-routed mode (the executor runtime) remote traffic
-            // takes this path too; a destination without a hook falls
-            // through to the mailbox below.
-            if let Some(hook) = self.hook(env.dst) {
-                // Count before dispatching: a caller woken by the hook (e.g.
-                // a sync response) must never observe stats that lag its own
-                // message.
-                self.stats
-                    .record_delivery(env.dst, env.payload.wire_bytes());
-                hook(env);
-                return;
-            }
+        // A destination with a hook gets everything through it (the plane
+        // has one drain, so hook calls are already serialized); one without
+        // falls through to its mailbox.
+        if let Some(hook) = self.hook(env.dst) {
+            // Count before dispatching: a caller woken by the hook (e.g. a
+            // sync response) must never observe stats that lag its own
+            // message.
+            self.stats
+                .record_delivery(env.dst, env.payload.wire_bytes());
+            hook(env);
+            return;
         }
         let sender = self.sender(env.dst);
         match sender {
@@ -690,10 +675,10 @@ impl Network {
         Self::with_obs_and_spawner(clock, topo, config, obs, None)
     }
 
-    /// Creates a network whose delivery plane runs as externally scheduled
-    /// tasks instead of on a dedicated thread, when `spawner` is provided
-    /// (see [`crate::SpawnAt`]; used by the executor runtime). With
-    /// `spawner: None` this is exactly [`Network::with_obs`].
+    /// Creates a network whose delivery plane is woken through `spawner`
+    /// (see [`crate::SpawnAt`]; the runtime passes its executor's). With
+    /// `spawner: None` this is exactly [`Network::with_obs`]: the plane
+    /// brings its own scheduler thread and runs the same drain on it.
     pub fn with_obs_and_spawner(
         clock: SimClock,
         topo: Topology,
@@ -713,7 +698,6 @@ impl Network {
             partitions: RwLock::new(HashSet::new()),
             faults: AtomicUsize::new(0),
             hooks: RwLock::new(HashMap::new()),
-            via_hook: config.deliver_via_hook,
             id: NEXT_ROUTING_ID.fetch_add(1, Ordering::Relaxed),
             gen: AtomicU64::new(0),
             ep_cache_hits: AtomicU64::new(0),
@@ -793,12 +777,12 @@ impl Network {
         rx
     }
 
-    /// Installs the delivery hook for `node`'s local (`src == dst`) traffic
-    /// — all of its traffic under [`NetworkConfig::deliver_via_hook`]. With
-    /// a hook installed, such messages are dispatched by calling it from the
-    /// delivery plane's drainer instead of being posted to the node's
-    /// mailbox. Hook calls are serialized: the plane delivers one message at
-    /// a time.
+    /// Installs the delivery hook for `node`. With a hook installed, every
+    /// message for the node — local or remote — is dispatched by calling it
+    /// from the delivery plane's drain instead of being posted to the node's
+    /// mailbox; install it *before* [`Network::register`] if nothing reads
+    /// the mailbox. Hook calls are serialized: the plane delivers one
+    /// message at a time.
     pub fn set_local_hook(&self, node: NodeId, hook: LocalHook) {
         self.routing.hooks.write().insert(node, hook);
         self.routing.bump_gen();
@@ -1644,21 +1628,13 @@ mod batched_tests {
     }
 
     #[test]
-    fn hook_routed_mode_delivers_remote_traffic_via_hook() {
+    fn a_hooked_node_gets_remote_traffic_via_its_hook() {
         let mut topo = Topology::new();
         topo.set_default_class(LinkClass::Lan100);
-        let net = Network::with_obs(
-            SimClock::new(TimeScale::new(1e-5)),
-            topo,
-            NetworkConfig {
-                deliver_via_hook: true,
-                ..NetworkConfig::default()
-            },
-            jsym_obs::ObsRegistry::disabled(),
-        );
+        let net = Network::new(SimClock::new(TimeScale::new(1e-5)), topo);
         let got: Arc<parking_lot::Mutex<Vec<u32>>> = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let sink = Arc::clone(&got);
-        // Hook first, then register: the executor runtime's ordering.
+        // Hook first, then register: the runtime's ordering.
         net.set_local_hook(
             NodeId(1),
             Arc::new(move |env: Envelope| {

@@ -2,20 +2,18 @@
 //!
 //! The *delivery plane* is one priority queue of in-flight messages keyed by
 //! their real-time delivery deadline (the virtual transfer delay mapped
-//! through the [`crate::SimClock`]) and one drainer. Every accepted send —
+//! through the [`crate::SimClock`]) and one drain. Every accepted send —
 //! same-node included — goes through it, so deliveries come out in
 //! deterministic `(due, seq)` order and never run concurrently.
 //!
-//! The drainer has two implementations behind one handle:
-//!
-//! * **Threaded** ([`DelayQueue::start`]): one OS thread, parked on a
-//!   condvar until the next deadline.
-//! * **Tasked** ([`DelayQueue::start_tasked`]): no thread of its own.
-//!   Wake-ups are armed on an external scheduler via a [`SpawnAt`] closure
-//!   (in practice the `jsym-exec` work-stealing executor) and the heap is
-//!   drained by cooperatively-yielding tasks. At most one drain task runs at
-//!   a time (a `draining` flag claimed under the heap lock), so delivery
-//!   order is identical to the threaded plane.
+//! The plane has no thread of its own. Wake-ups are armed on a deadline
+//! scheduler through a [`SpawnAt`] closure and the heap is drained by
+//! cooperatively-yielding jobs; at most one drain runs at a time (a
+//! `draining` flag claimed under the heap lock). There are two providers of
+//! [`SpawnAt`]: the embedding runtime's (in practice the `jsym-exec`
+//! work-stealing executor, [`DelayQueue::start_tasked`]), and — for a
+//! [`crate::Network`] built without one — a private `jsym-net-delivery`
+//! thread ([`DelayQueue::start`]). Both run the same [`drain`].
 
 use crate::Envelope;
 use parking_lot::{Condvar, Mutex};
@@ -29,31 +27,35 @@ use std::time::{Duration, Instant};
 /// Delivery callback: gets the ready message.
 pub(crate) type DeliverFn = Arc<dyn Fn(Envelope) + Send + Sync>;
 
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
 /// External deadline scheduler: `spawner(at, job)` must run `job` once, at
 /// (not before) real-time `at`, off the caller's thread. Jobs armed for
-/// equal instants must run in arming order. Provided by the embedding
-/// runtime so `jsym-net` needs no dependency on the executor crate.
-pub type SpawnAt = Arc<dyn Fn(Instant, Box<dyn FnOnce() + Send + 'static>) + Send + Sync>;
+/// equal instants should run in arming order; the plane only needs every
+/// armed job to run eventually (its heap, not the scheduler, orders
+/// deliveries). Provided by the embedding runtime so `jsym-net` needs no
+/// dependency on the executor crate.
+pub type SpawnAt = Arc<dyn Fn(Instant, Job) + Send + Sync>;
 
-struct Scheduled {
+struct Scheduled<T> {
     due: Instant,
-    /// Tie-breaker preserving send order for equal deadlines.
+    /// Tie-breaker preserving push order for equal deadlines.
     seq: u64,
-    env: Envelope,
+    item: T,
 }
 
-impl PartialEq for Scheduled {
+impl<T> PartialEq for Scheduled<T> {
     fn eq(&self, other: &Self) -> bool {
         self.due == other.due && self.seq == other.seq
     }
 }
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
+impl<T> Eq for Scheduled<T> {}
+impl<T> PartialOrd for Scheduled<T> {
     fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Scheduled {
+impl<T> Ord for Scheduled<T> {
     fn cmp(&self, other: &Self) -> CmpOrdering {
         // BinaryHeap is a max-heap; invert so the earliest deadline wins.
         other
@@ -63,18 +65,27 @@ impl Ord for Scheduled {
     }
 }
 
-/// The `(due, seq)` heap both drainers pop from.
-#[derive(Default)]
-struct Heap {
-    items: BinaryHeap<Scheduled>,
+/// A `(due, seq)` min-heap: of envelopes for the plane, of armed jobs for the
+/// private scheduler thread.
+struct Heap<T> {
+    items: BinaryHeap<Scheduled<T>>,
     next_seq: u64,
 }
 
-impl Heap {
-    fn push(&mut self, due: Instant, env: Envelope) {
+impl<T> Default for Heap<T> {
+    fn default() -> Self {
+        Heap {
+            items: BinaryHeap::new(),
+            next_seq: 0,
+        }
+    }
+}
+
+impl<T> Heap<T> {
+    fn push(&mut self, due: Instant, item: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.items.push(Scheduled { due, seq, env });
+        self.items.push(Scheduled { due, seq, item });
     }
 
     /// Deadline of the head, if any.
@@ -82,202 +93,192 @@ impl Heap {
         self.items.peek().map(|s| s.due)
     }
 
-    fn pop(&mut self) -> Option<Envelope> {
-        self.items.pop().map(|s| s.env)
+    fn pop(&mut self) -> Option<T> {
+        self.items.pop().map(|s| s.item)
     }
 }
 
+/// The plane's heap plus drain/arm bookkeeping.
 #[derive(Default)]
-struct QueueState {
-    heap: Heap,
-    shutdown: bool,
-}
-
-struct Threaded {
-    state: Mutex<QueueState>,
-    cond: Condvar,
-}
-
-/// The tasked plane's heap plus drain/arm bookkeeping.
-#[derive(Default)]
-struct TaskedState {
-    heap: Heap,
-    /// A drain task currently owns the heap. While set, pushes never arm a
-    /// wake-up: the drainer re-peeks under the lock before exiting and arms
+struct State {
+    heap: Heap<Envelope>,
+    /// A drain currently owns the heap. While set, pushes never arm a
+    /// wake-up: the drain re-peeks under the lock before exiting and arms
     /// for whatever head it leaves behind.
     draining: bool,
     /// Earliest instant a wake-up is armed for, if any. Stale (later) armed
-    /// tasks may exist; they find nothing due and are no-ops.
+    /// jobs may exist; they find nothing due and are no-ops.
     armed: Option<Instant>,
 }
 
-struct Tasked {
-    state: Mutex<TaskedState>,
+struct Inner {
+    state: Mutex<State>,
     spawner: SpawnAt,
     deliver: DeliverFn,
     shutdown: AtomicBool,
 }
 
-/// Deliveries one drain task performs before re-scheduling itself, so the
-/// plane under sustained load cannot monopolise an executor worker.
+/// Deliveries one drain performs before re-scheduling itself, so the plane
+/// under sustained load cannot monopolise an executor worker.
 const DRAIN_BUDGET: usize = 256;
 
-enum Plane {
-    Threaded(Arc<Threaded>, Mutex<Option<JoinHandle<()>>>),
-    Tasked(Arc<Tasked>),
-}
-
-/// Handle to the delivery plane. Dropping it stops the drainer; pending
+/// Handle to the delivery plane. Dropping it stops the drain; pending
 /// messages are discarded (matching a network that disappears).
 pub(crate) struct DelayQueue {
-    plane: Plane,
+    inner: Arc<Inner>,
+    /// The private scheduler thread, when the plane was started without an
+    /// external [`SpawnAt`].
+    own: Option<Arc<Timer>>,
 }
 
 impl DelayQueue {
-    /// Spawns the delivery thread feeding `deliver`.
+    /// Starts the plane on a private `jsym-net-delivery` scheduler thread.
     pub(crate) fn start(deliver: DeliverFn) -> Self {
-        let inner = Arc::new(Threaded {
-            state: Mutex::new(QueueState::default()),
-            cond: Condvar::new(),
-        });
-        let thread_inner = Arc::clone(&inner);
-        let handle = std::thread::Builder::new()
-            .name("jsym-net-delivery".into())
-            .spawn(move || Self::run(thread_inner, deliver))
-            .expect("spawn delivery thread");
-        DelayQueue {
-            plane: Plane::Threaded(inner, Mutex::new(Some(handle))),
-        }
+        let timer = Arc::new(Timer::default());
+        let on_thread = Arc::clone(&timer);
+        *timer.thread.lock() = Some(
+            std::thread::Builder::new()
+                .name("jsym-net-delivery".into())
+                .spawn(move || on_thread.run())
+                .expect("spawn delivery thread"),
+        );
+        let armed = Arc::clone(&timer);
+        let mut queue = Self::start_tasked(Arc::new(move |at, job| armed.arm(at, job)), deliver);
+        queue.own = Some(timer);
+        queue
     }
 
-    /// Builds a tasked plane: same ordering guarantees as
-    /// [`DelayQueue::start`], but wake-ups run as `spawner` jobs instead of
-    /// on a dedicated thread.
+    /// Starts the plane on an external scheduler: wake-ups run as `spawner`
+    /// jobs.
     pub(crate) fn start_tasked(spawner: SpawnAt, deliver: DeliverFn) -> Self {
         DelayQueue {
-            plane: Plane::Tasked(Arc::new(Tasked {
-                state: Mutex::new(TaskedState::default()),
+            inner: Arc::new(Inner {
+                state: Mutex::new(State::default()),
                 spawner,
                 deliver,
                 shutdown: AtomicBool::new(false),
-            })),
+            }),
+            own: None,
         }
     }
 
     /// Schedules `env` for delivery at real time `due`.
     pub(crate) fn push(&self, due: Instant, env: Envelope) {
-        match &self.plane {
-            Plane::Threaded(inner, _) => {
-                let mut state = inner.state.lock();
-                if state.shutdown {
-                    return;
-                }
-                state.heap.push(due, env);
-                inner.cond.notify_one();
-            }
-            Plane::Tasked(inner) => {
-                if inner.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                let wake = {
-                    let mut st = inner.state.lock();
-                    st.heap.push(due, env);
-                    // Invariant: whenever `draining` is false and the heap is
-                    // non-empty, a wake-up is armed at or before the head's
-                    // deadline. A drainer owns the heap otherwise and arms
-                    // on exit.
-                    let wake = due.checked_sub(spin_horizon()).unwrap_or(due);
-                    if !st.draining && st.armed.is_none_or(|a| wake < a) {
-                        st.armed = Some(wake);
-                        Some(wake)
-                    } else {
-                        None
-                    }
-                };
-                if let Some(at) = wake {
-                    arm(inner, at);
-                }
-            }
+        let inner = &self.inner;
+        if inner.shutdown.load(Ordering::Acquire) {
+            return;
         }
-    }
-
-    fn run(inner: Arc<Threaded>, deliver: DeliverFn) {
-        let spin_horizon = spin_horizon();
-        loop {
-            let ready = {
-                let mut state = inner.state.lock();
-                loop {
-                    if state.shutdown {
-                        return;
-                    }
-                    let now = Instant::now();
-                    match state.heap.due() {
-                        Some(due) if due <= now => break state.heap.pop().expect("peeked"),
-                        Some(due) => {
-                            if due - now <= spin_horizon {
-                                drop(state);
-                                crate::clock::sleep_until(due);
-                                state = inner.state.lock();
-                            } else {
-                                inner.cond.wait_until(&mut state, due - spin_horizon);
-                            }
-                        }
-                        None => {
-                            inner.cond.wait(&mut state);
-                        }
-                    }
-                }
-            };
-            deliver(ready);
+        let wake = {
+            let mut st = inner.state.lock();
+            st.heap.push(due, env);
+            // Invariant: whenever `draining` is false and the heap is
+            // non-empty, a wake-up is armed at or before the head's
+            // deadline. A drain owns the heap otherwise and arms on exit.
+            let wake = wake_time(due);
+            if !st.draining && st.armed.is_none_or(|a| wake < a) {
+                st.armed = Some(wake);
+                Some(wake)
+            } else {
+                None
+            }
+        };
+        if let Some(at) = wake {
+            arm(inner, at);
         }
     }
 
     pub(crate) fn shutdown(&self) {
-        match &self.plane {
-            Plane::Threaded(inner, handle) => {
-                {
-                    let mut state = inner.state.lock();
-                    state.shutdown = true;
-                    state.heap.items.clear();
-                }
-                inner.cond.notify_all();
-                if let Some(h) = handle.lock().take() {
-                    let _ = h.join();
-                }
+        self.inner.shutdown.store(true, Ordering::Release);
+        {
+            let mut st = self.inner.state.lock();
+            st.heap.items.clear();
+            st.armed = None;
+            // Armed wake-ups still held by the scheduler fire into `drain`,
+            // see the shutdown flag, and no-op.
+        }
+        if let Some(timer) = &self.own {
+            {
+                let mut st = timer.state.lock();
+                st.shutdown = true;
+                st.jobs.items.clear();
             }
-            Plane::Tasked(inner) => {
-                inner.shutdown.store(true, Ordering::Release);
-                let mut st = inner.state.lock();
-                st.heap.items.clear();
-                st.armed = None;
-                // Armed wake-ups still held by the external scheduler fire
-                // into `drain`, see the shutdown flag, and no-op.
+            timer.cond.notify_all();
+            if let Some(h) = timer.thread.lock().take() {
+                let _ = h.join();
+            }
+        }
+    }
+}
+
+/// The [`SpawnAt`] of a plane started without one: a single thread that runs
+/// armed jobs at their deadline, equal deadlines in arming order.
+#[derive(Default)]
+struct Timer {
+    state: Mutex<TimerState>,
+    cond: Condvar,
+    thread: Mutex<Option<JoinHandle<()>>>,
+}
+
+#[derive(Default)]
+struct TimerState {
+    jobs: Heap<Job>,
+    shutdown: bool,
+}
+
+impl Timer {
+    fn arm(&self, at: Instant, job: Job) {
+        let mut st = self.state.lock();
+        if !st.shutdown {
+            st.jobs.push(at, job);
+            self.cond.notify_one();
+        }
+    }
+
+    fn run(&self) {
+        let mut st = self.state.lock();
+        while !st.shutdown {
+            match st.jobs.due() {
+                Some(due) if due <= Instant::now() => {
+                    let job = st.jobs.pop().expect("peeked");
+                    drop(st);
+                    job();
+                    st = self.state.lock();
+                }
+                Some(due) => {
+                    self.cond.wait_until(&mut st, due);
+                }
+                None => self.cond.wait(&mut st),
             }
         }
     }
 }
 
 /// OS condvar and timer wake-ups overshoot by 50-100 µs, which at aggressive
-/// time scales dwarfs the modeled link latencies. Both drainers therefore
-/// wake this much before a deadline and spin-sleep the remainder
-/// (`sleep_until`) with the heap unlocked; a message pushed meanwhile is at
-/// most one spin window late, which is below the wake-up's own error. On
-/// single-core hosts the spin window is zero and this degrades to plain
-/// timed waits (see `clock::spin_window`).
+/// time scales dwarfs the modeled link latencies. A wake-up is therefore
+/// armed this much before its deadline and the drain spin-sleeps the
+/// remainder (`sleep_until`) with the heap unlocked; a message pushed
+/// meanwhile is at most one spin window late, which is below the wake-up's
+/// own error. On single-core hosts the spin window is zero and this degrades
+/// to plain timed waits (see `clock::spin_window`).
 fn spin_horizon() -> Duration {
     crate::clock::spin_window() + Duration::from_micros(100)
 }
 
-/// Arms a tasked-plane wake-up at `at`.
-fn arm(inner: &Arc<Tasked>, at: Instant) {
+/// When to wake for a head due at `due`.
+fn wake_time(due: Instant) -> Instant {
+    due.checked_sub(spin_horizon()).unwrap_or(due)
+}
+
+/// Arms a wake-up at `at`.
+fn arm(inner: &Arc<Inner>, at: Instant) {
     let task_inner = Arc::clone(inner);
     (inner.spawner)(at, Box::new(move || drain(&task_inner)));
 }
 
-/// Body of a tasked-plane wake-up: claim the heap, deliver everything due
-/// (in `(due, seq)` order), then either re-arm for the next head or release.
+/// Body of a wake-up: claim the heap, deliver everything due (in
+/// `(due, seq)` order), then either re-arm for the next head or release.
 /// Yields back to the scheduler after [`DRAIN_BUDGET`] deliveries.
-fn drain(inner: &Arc<Tasked>) {
+fn drain(inner: &Arc<Inner>) {
     enum Step {
         Deliver(Envelope),
         Spin(Instant),
@@ -286,7 +287,7 @@ fn drain(inner: &Arc<Tasked>) {
     {
         let mut st = inner.state.lock();
         if st.draining {
-            return; // an active drainer will see whatever we were armed for
+            return; // an active drain will see whatever we were armed for
         }
         st.draining = true;
         st.armed = None;
@@ -308,11 +309,11 @@ fn drain(inner: &Arc<Tasked>) {
                     Step::Done
                 }
                 Some(due) if due <= now => Step::Deliver(st.heap.pop().expect("peeked")),
-                Some(due) if due - now <= spin_horizon() => Step::Spin(due),
+                Some(due) if wake_time(due) <= now => Step::Spin(due),
                 Some(due) => {
                     // Future head: hand the heap back and arm a fresh
                     // wake-up (the one that ran us was consumed above).
-                    let wake = due.checked_sub(spin_horizon()).unwrap_or(due);
+                    let wake = wake_time(due);
                     st.draining = false;
                     st.armed = Some(wake);
                     drop(st);

@@ -138,8 +138,8 @@ pub enum Command {
         /// `Some(enabled)` toggles re-placement; `None` shows statistics.
         set: Option<bool>,
     },
-    /// `executor` — runtime scheduling mode: thread-per-node or the
-    /// work-stealing executor, with live worker/queue/blocked counters.
+    /// `executor` — the work-stealing executor's size and live
+    /// worker/queue/blocked counters.
     Executor,
     /// `metrics [json]` — observability registry: counters, gauges,
     /// histograms and per-endpoint traffic; `json` emits the machine-
@@ -455,7 +455,7 @@ commands:
   directory                              replicated-directory leader, term, replica lag
   batch                                  RMI coalescing-stage config and counters
   affinity [on|off]                      affinity-plane stats / toggle re-placement
-  executor                               scheduling mode and work-stealing pool counters
+  executor                               executor size and work-stealing pool counters
   metrics [json]                         observability metrics (summary or JSON)
   trace [name-prefix]                    recorded spans as a tree (e.g. `trace migrate`)
   quit";

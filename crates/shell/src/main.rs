@@ -7,9 +7,9 @@
 //! Boots the CLUSTER 2000 testbed (first `nodes` machines, default 6) under
 //! the chosen load regime and reads commands from stdin; `help` lists them.
 //! `--batch` arms the send-side RMI coalescing stage (fig5's defaults), so
-//! the `batch` command has live counters to show. `--executor N` runs the
-//! deployment on an N-worker work-stealing executor instead of the
-//! thread-per-node runtime; the `executor` command shows its counters.
+//! the `batch` command has live counters to show. `--executor N` sizes the
+//! deployment's work-stealing executor (default: `JsShell`'s); the `executor`
+//! command shows its size and counters.
 
 use jsym_cluster::catalog::{testbed_machines, LoadKind};
 use jsym_cluster::jacobi::register_jacobi_classes;
@@ -53,24 +53,18 @@ fn main() {
     if batching {
         shell = shell.rmi_batching(5e-4, 256 * 1024);
     }
-    if executor > 0 {
-        shell = shell.executor(executor);
-    }
-    let deployment = shell.boot();
+    let deployment = shell.executor(executor).boot();
     register_test_classes(&deployment);
     register_matmul_classes(&deployment);
     register_pipeline_classes(&deployment);
     register_jacobi_classes(&deployment);
 
     println!(
-        "jsym-shell: {nodes} testbed machines under {} load (1 virtual s = {scale} real s{}{})",
+        "jsym-shell: {nodes} testbed machines under {} load (1 virtual s = {scale} real s{}, \
+         {}-worker executor)",
         load.label(),
         if batching { ", RMI batching on" } else { "" },
-        if executor > 0 {
-            format!(", {executor}-worker executor")
-        } else {
-            String::new()
-        }
+        deployment.executor_threads(),
     );
     println!("classes: Counter, Blob (blob.jar), Matrix, Stage, JacobiWorker; `help` for commands");
 

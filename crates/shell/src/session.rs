@@ -512,27 +512,21 @@ impl ShellSession {
                 Ok(out)
             }
             Command::Executor => {
-                let threads = self.deployment.executor_threads();
-                if threads == 0 {
-                    return Ok(
-                        "runtime: thread-per-node (boot with JsShell::executor(n) for the \
-                         work-stealing executor)"
-                            .to_owned(),
-                    );
-                }
-                let mut out = format!("runtime: work-stealing executor, {threads} workers\n");
-                if let Some(s) = self.deployment.exec_stats() {
-                    let _ = writeln!(
-                        out,
-                        "queue depth {}, blocked {}, spares {}, timers pending {}",
-                        s.queue_depth, s.blocked, s.spares, s.timer_pending
-                    );
-                    let _ = writeln!(
-                        out,
-                        "steals {}, parks {}, spare spawns {}",
-                        s.steals, s.parks, s.spare_spawns
-                    );
-                }
+                let s = self
+                    .deployment
+                    .exec_stats()
+                    .expect("every deployment runs on the executor");
+                let mut out = format!("work-stealing executor, {} workers\n", s.threads);
+                let _ = writeln!(
+                    out,
+                    "queue depth {}, blocked {}, spares {}, timers pending {}",
+                    s.queue_depth, s.blocked, s.spares, s.timer_pending
+                );
+                let _ = writeln!(
+                    out,
+                    "steals {}, parks {}, spare spawns {}",
+                    s.steals, s.parks, s.spare_spawns
+                );
                 Ok(out)
             }
             Command::Metrics { json } => {
@@ -818,14 +812,18 @@ mod obs_tests {
     }
 
     #[test]
-    fn executor_command_reports_mode_and_counters() {
-        // Threaded deployment: reports the mode and how to switch.
+    fn executor_command_reports_size_and_counters() {
+        // Unsized deployment: the default worker count.
         let d = shell_with_idle_machines(2).boot();
         register_test_classes(&d);
         let mut s = ShellSession::new(d).unwrap();
         let out = s.run_line("executor");
-        assert!(out.contains("thread-per-node"), "{out}");
-        // Executor deployment: reports worker count and live counters.
+        let default = jsym_core::DEFAULT_EXECUTOR_WORKERS;
+        assert!(
+            out.contains(&format!("executor, {default} workers")),
+            "{out}"
+        );
+        // Sized deployment: that worker count and live counters.
         let d = shell_with_idle_machines(2).executor(2).boot();
         register_test_classes(&d);
         let mut s = ShellSession::new(d).unwrap();
@@ -939,24 +937,6 @@ mod directory_tests {
         let mut s = ShellSession::new(d).unwrap();
         let out = s.run_line("directory");
         assert!(out.contains("disabled"), "{out}");
-    }
-
-    #[test]
-    fn metrics_command_exports_transient_worker_gauge() {
-        let d = shell_with_idle_machines(2).boot();
-        register_test_classes(&d);
-        let mut s = ShellSession::new(d).unwrap();
-        // The NAS monitor publishes the gauge once per round; the fixture's
-        // virtual period is microseconds of real time, so poll briefly.
-        let mut metrics = String::new();
-        for _ in 0..400 {
-            metrics = s.run_line("metrics");
-            if metrics.contains("pool.transient_workers") {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert!(metrics.contains("pool.transient_workers"), "{metrics}");
     }
 }
 
