@@ -244,11 +244,11 @@ impl AppShared {
         method: &str,
         args: &[Value],
         want_reply: bool,
-    ) -> Result<(ReqId, Option<Slot>)> {
+        req: ReqId,
+    ) -> Result<Option<Slot>> {
         self.ensure_registered()?;
         let node = self.node_shared()?;
         let loc = self.location_of(obj).ok_or(JsError::NoSuchObject(obj))?;
-        let req = IdGen::req();
         // Caller-side dispatch + marshalling.
         node.machine
             .compute(node.cost.invoke_caller(args_wire_size(args)));
@@ -264,7 +264,7 @@ impl AppShared {
             node.calls.forget(req);
             return Err(e);
         }
-        Ok((req, slot))
+        Ok(slot)
     }
 
     /// `ainvoke` — asynchronous invocation returning a [`ResultHandle`].
@@ -274,7 +274,7 @@ impl AppShared {
         method: &str,
         args: &[Value],
     ) -> Result<ResultHandle> {
-        self.ainvoke_traced(obj, method, args, "ainvoke", "rmi.ainvoke")
+        self.ainvoke_traced(obj, method, args, "ainvoke", "rmi.ainvoke", IdGen::req())
     }
 
     /// Shared `sinvoke`/`ainvoke` body; `mode`/`span_name` only feed the
@@ -288,6 +288,7 @@ impl AppShared {
         args: &[Value],
         mode: &'static str,
         span_name: &'static str,
+        req: ReqId,
     ) -> Result<ResultHandle> {
         let node = self.node_shared()?;
         if node.obs.is_enabled() {
@@ -300,7 +301,7 @@ impl AppShared {
             .node(self.home.0)
             .attr("obj", obj)
             .attr("method", method);
-        let (_, slot) = self.issue(obj, method, args, true)?;
+        let slot = self.issue(obj, method, args, true, req)?;
         let slot = slot.expect("reply requested");
         let app = Arc::clone(self);
         let method_owned = method.to_owned();
@@ -311,7 +312,7 @@ impl AppShared {
             if let Ok(n) = app.node_shared() {
                 n.clock.sleep(n.config.retry_backoff);
             }
-            let (_, slot) = app.issue(obj, &method_owned, &args_owned, true)?;
+            let slot = app.issue(obj, &method_owned, &args_owned, true, IdGen::req())?;
             Ok(slot.expect("reply requested"))
         });
         let machine = node.machine.clone();
@@ -352,7 +353,10 @@ impl AppShared {
         method: &str,
         args: &[Value],
     ) -> Result<Value> {
-        self.ainvoke_traced(obj, method, args, "sinvoke", "rmi.sinvoke")?
+        let node = self.node_shared()?;
+        let req = IdGen::req();
+        let issue = || self.ainvoke_traced(obj, method, args, "sinvoke", "rmi.sinvoke", req);
+        node.run_own_call(req, issue, ResultHandle::filled)?
             .get_result()
     }
 
@@ -364,7 +368,7 @@ impl AppShared {
         args: &[Value],
     ) -> Result<()> {
         let node = self.node_shared()?;
-        self.issue(obj, method, args, false)?;
+        self.issue(obj, method, args, false, IdGen::req())?;
         if node.obs.is_enabled() {
             node.obs
                 .counter("rmi.calls", Some(self.home.0), "oinvoke")
@@ -624,7 +628,7 @@ fn answer_where_is(
         return;
     }
     let sh = Arc::clone(shared);
-    crate::runtime::spawn_worker(shared, move || {
+    crate::runtime::spawn_worker(shared, req, move || {
         let (result, source) = match crate::dir::read_location(&sh, obj) {
             Ok(n) => (Ok(Value::I64(n.0 as i64)), "directory"),
             Err(_) => (table_reply(table), "origin"),

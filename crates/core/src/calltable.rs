@@ -4,8 +4,9 @@
 //! local-objects-table and runs "one thread for every asynchronous method
 //! invocation in order to overcome blocking Java/RMI". In Rust we invert
 //! this: the invocation is sent asynchronously and a [`ResultHandle`] wraps a
-//! slot that the node's receiver thread completes when the reply arrives —
-//! same observable semantics (`isReady`/`getResult`), no thread per call.
+//! slot that the thread delivering the reply completes (a worker, or the
+//! caller itself) — same observable semantics (`isReady`/`getResult`), no
+//! thread per call.
 
 use crate::error::JsError;
 use crate::ids::ReqId;
@@ -55,9 +56,13 @@ impl Slot {
     /// This is the one choke point where a runtime task parks waiting for a
     /// reply, so it is where executor-mode capacity compensation happens:
     /// `jsym_exec::blocking` tells the work-stealing pool this worker is
-    /// about to stall (a spare takes over) and is a free passthrough on
-    /// plain threads.
+    /// about to stall (a spare takes over), and on any thread hands over the
+    /// chain jobs it holds. A slot already filled — the caller ran its own
+    /// call — returns at once, without any of that.
     pub(crate) fn wait(&self, timeout: Duration) -> Result<Value> {
+        if let Some(filled) = self.peek() {
+            return filled;
+        }
         jsym_exec::blocking(|| {
             let deadline = Instant::now() + timeout;
             let mut st = self.inner.state.lock();
@@ -174,6 +179,11 @@ impl ResultHandle {
             }
             Some(_) => true,
         }
+    }
+
+    /// Whether a reply of any kind is in, without acting on it.
+    pub(crate) fn filled(&self) -> bool {
+        self.slot.lock().is_ready()
     }
 
     /// `handle.getResult()` — blocks until the result is available.

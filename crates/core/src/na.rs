@@ -300,9 +300,9 @@ pub(crate) fn monitor_round(shared: &Arc<NodeShared>, vda: &jsym_vda::VdaRegistr
         // election in progress must not stall monitoring.
         if shared.dir.is_some() {
             let s = Arc::clone(shared);
-            crate::runtime::spawn_worker(shared, move || {
+            shared.workers.spawn(Box::new(move || {
                 let _ = crate::dir::propose(&s, &jsym_dir::DirCommand::MarkFailed { node: peer.0 });
-            });
+            }));
         }
     }
 

@@ -10,7 +10,7 @@
 
 use crate::class::InvokeCtx;
 use crate::error::JsError;
-use crate::ids::{AgentAddr, IdGen, ObjectId};
+use crate::ids::{AgentAddr, IdGen, ObjectId, ReqId};
 use crate::intern::Sym;
 use crate::msg::Msg;
 use crate::runtime::{obs_now, spawn_worker, NodeClient, NodeShared, ObjEntry};
@@ -33,7 +33,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
             origin,
         } => {
             let sh = Arc::clone(shared);
-            spawn_worker(shared, move || {
+            spawn_worker(shared, req, move || {
                 let result = create_object(&sh, obj, class, &args, origin);
                 sh.send_reply(reply_to, req, result);
             });
@@ -47,7 +47,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
             origin,
         } => {
             let sh = Arc::clone(shared);
-            spawn_worker(shared, move || {
+            spawn_worker(shared, req, move || {
                 let result = install_from_state(&sh, obj, class, &state, origin);
                 sh.send_reply(reply_to, req, result);
             });
@@ -93,6 +93,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
                     let exec = Arc::clone(&entry.exec);
                     exec.submit(
                         &shared.workers,
+                        req,
                         Box::new(move || {
                             let result = execute(&sh, obj, method, &args);
                             match (reply_to, result) {
@@ -117,7 +118,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
             span,
         } => {
             let sh = Arc::clone(shared);
-            spawn_worker(shared, move || {
+            in_turn(shared, obj, req, move || {
                 let result = migrate_out(&sh, obj, dst, SpanId::from_wire(span));
                 sh.send_reply(reply_to, req, result);
             });
@@ -132,7 +133,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
             span,
         } => {
             let sh = Arc::clone(shared);
-            spawn_worker(shared, move || {
+            spawn_worker(shared, req, move || {
                 let result = migrate_in(&sh, obj, class, &state, origin, SpanId::from_wire(span));
                 sh.send_reply(reply_to, req, result);
             });
@@ -144,7 +145,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
             key,
         } => {
             let sh = Arc::clone(shared);
-            spawn_worker(shared, move || {
+            in_turn(shared, obj, req, move || {
                 let result = store_object(&sh, obj, key);
                 sh.send_reply(reply_to, req, result);
             });
@@ -208,6 +209,7 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
                     let instance = Arc::clone(&entry.instance);
                     exec.submit(
                         &shared.workers,
+                        req,
                         Box::new(move || {
                             let result = execute_static(&sh, &instance, method, &args);
                             if let Some(to) = reply_to {
@@ -231,6 +233,18 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
         | Msg::DirRead { .. } => {}
     }
     let _ = src;
+}
+
+/// Queues `f`, which migrates or stores `obj` for request `req`, behind the
+/// calls the object has already received: what is done to one object is done
+/// in arrival order, whichever threads deliver and run it. An object not
+/// hosted here has no queue; `f` answers `ObjectMoved` from anywhere.
+fn in_turn(sh: &Arc<NodeShared>, obj: ObjectId, req: ReqId, f: impl FnOnce() + Send + 'static) {
+    let queue = sh.objects.lock().get(&obj).map(|e| Arc::clone(&e.exec));
+    match queue {
+        Some(queue) => queue.submit(&sh.workers, req, Box::new(f)),
+        None => spawn_worker(sh, req, f),
+    }
 }
 
 /// Resolves the per-node static context of `class`, creating it on first
@@ -280,9 +294,20 @@ fn execute_static(
         shared: Arc::clone(shared),
     };
     let mut ctx = InvokeCtx::new(&shared.machine, shared.phys, &client);
-    let out = guard.invoke(method.as_str(), args, &mut ctx);
+    let out = catch_panic(|| guard.invoke(method.as_str(), args, &mut ctx));
     shared.stats.invocations.fetch_add(1, Ordering::Relaxed);
     out
+}
+
+/// Runs a method body; a panic in it becomes the call's error instead of
+/// unwinding into the thread running it — an executor worker, which would be
+/// gone for good, or the calling application thread itself.
+fn catch_panic(body: impl FnOnce() -> Result<Value>) -> Result<Value> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).unwrap_or_else(|p| {
+        let why = p.downcast_ref::<String>().map(String::as_str);
+        let why = why.or(p.downcast_ref::<&str>().copied()).unwrap_or("?");
+        Err(JsError::MethodFailed(format!("panicked: {why}")))
+    })
 }
 
 /// A one-sided call that failed: there is no caller to tell, so it is counted
@@ -403,7 +428,7 @@ fn execute(shared: &Arc<NodeShared>, obj: ObjectId, method: Sym, args: &[Value])
     };
     let mut ctx = InvokeCtx::new(&shared.machine, shared.phys, &client);
     let start = obs_now(shared);
-    let out = instance.invoke(method.as_str(), args, &mut ctx);
+    let out = catch_panic(|| instance.invoke(method.as_str(), args, &mut ctx));
     if shared.obs.is_enabled() {
         shared
             .obs

@@ -14,6 +14,7 @@ use crate::na::NaState;
 use crate::persist::ObjectStore;
 use crate::value::{args_wire_size, Value};
 use crate::{appoa, puboa, Result};
+use jsym_exec::{helping, Executor};
 use jsym_net::{Envelope, Network, NodeId, Payload, SimClock};
 use jsym_sysmon::SimMachine;
 use parking_lot::{Mutex, RwLock};
@@ -73,41 +74,46 @@ pub(crate) struct ObjExecutor {
 const DRAIN_YIELD_BATCH: usize = 64;
 
 impl ObjExecutor {
-    /// Enqueues a job, starting a drain task on `workers` if none is running.
-    pub(crate) fn submit(self: &Arc<Self>, workers: &Arc<jsym_exec::Executor>, job: Job) {
+    /// Enqueues the handler of request `req`, starting a drain task on
+    /// `workers` if none is running. A drain started for the request of a
+    /// caller waiting on this very thread runs on that caller.
+    pub(crate) fn submit(self: &Arc<Self>, workers: &Arc<Executor>, req: ReqId, job: Job) {
         let start_drain = {
             let mut st = self.state.lock();
             st.queue.push_back(job);
             !std::mem::replace(&mut st.running, true)
         };
         if start_drain {
-            self.spawn_drain(workers);
+            let (exec, w) = (Arc::clone(self), Arc::clone(workers));
+            workers.spawn_for(req.0, Box::new(move || exec.drain(&w)));
         }
-    }
-
-    fn spawn_drain(self: &Arc<Self>, workers: &Arc<jsym_exec::Executor>) {
-        let (exec, w) = (Arc::clone(self), Arc::clone(workers));
-        workers.spawn(Box::new(move || exec.drain(&w)));
     }
 
     fn drain(self: &Arc<Self>, workers: &Arc<jsym_exec::Executor>) {
         // The drain is one task among up to a million; yield the worker back
         // after a bounded batch. `running` stays true across the yield, so
-        // submission order is preserved and no second drain can start.
-        for _ in 0..DRAIN_YIELD_BATCH {
+        // submission order is preserved and no second drain can start. On a
+        // waiting caller the batch is the one job the drain was started for
+        // (the head): whatever queued up behind it is not that caller's to
+        // run, and may need a lock held lower on its stack.
+        let mut left = if helping() { 1 } else { DRAIN_YIELD_BATCH };
+        loop {
             let job = {
                 let mut st = self.state.lock();
-                match st.queue.pop_front() {
-                    Some(j) => j,
-                    None => {
-                        st.running = false;
-                        return;
-                    }
+                if st.queue.is_empty() {
+                    st.running = false;
+                    return;
                 }
+                if left == 0 {
+                    break;
+                }
+                left -= 1;
+                st.queue.pop_front().expect("non-empty")
             };
             job();
         }
-        self.spawn_drain(workers);
+        let (exec, w) = (Arc::clone(self), Arc::clone(workers));
+        workers.spawn(Box::new(move || exec.drain(&w)));
     }
 }
 
@@ -223,7 +229,8 @@ impl NodeShared {
             return Err(JsError::ShuttingDown);
         }
         let slot = self.calls.register(req);
-        if let Err(e) = self.send(to, msg) {
+        let sent = self.run_own_call(req, || self.send(to, msg), |_| slot.is_ready());
+        if let Err(e) = sent {
             self.calls.forget(req);
             return Err(e);
         }
@@ -249,6 +256,30 @@ impl NodeShared {
             self.calls.forget(req);
         }
         out
+    }
+
+    /// A synchronous caller runs its own call (`jsym_exec::Executor::help`):
+    /// what `issue`'s send of `req` makes due now — delivery, handler, reply
+    /// — executes on this thread. If that brings no reply, the message may be
+    /// waiting on a wake-up armed elsewhere: a worker, which costs a spare to
+    /// park, has one go at the drain itself. `rmi.sync` counts the outcome.
+    pub fn run_own_call<T, E>(
+        &self,
+        req: ReqId,
+        issue: impl FnOnce() -> std::result::Result<T, E>,
+        replied: impl Fn(&T) -> bool,
+    ) -> std::result::Result<T, E> {
+        let done = |r: &std::result::Result<T, E>| r.as_ref().map_or(true, &replied);
+        let issued = self.workers.help(req.0, issue, done);
+        if !done(&issued) && jsym_exec::on_worker() {
+            let deliver = || self.net.deliver_due();
+            self.workers.help(req.0, deliver, |()| done(&issued));
+        }
+        if self.obs.is_enabled() && issued.is_ok() {
+            let how = if done(&issued) { "inline" } else { "parked" };
+            self.obs.counter("rmi.sync", Some(self.phys.0), how).inc();
+        }
+        issued
     }
 
     /// Resolves the current location of a foreign handle, consulting the
@@ -448,9 +479,10 @@ pub(crate) fn dispatch(shared: &Arc<NodeShared>, env: Envelope) {
     }
 }
 
-/// Hands a potentially long-running or blocking handler to the executor.
-pub(crate) fn spawn_worker(shared: &Arc<NodeShared>, f: impl FnOnce() + Send + 'static) {
-    shared.workers.spawn(Box::new(f));
+/// Hands the potentially long-running or blocking handler of request `req`
+/// to the executor — or to the caller waiting for `req` on this thread.
+pub(crate) fn spawn_worker(sh: &Arc<NodeShared>, req: ReqId, f: impl FnOnce() + Send + 'static) {
+    sh.workers.spawn_for(req.0, Box::new(f));
 }
 
 #[cfg(test)]
@@ -473,6 +505,7 @@ mod tests {
             let (order, running) = (Arc::clone(&order), Arc::clone(&running));
             exec.submit(
                 &workers,
+                IdGen::req(),
                 Box::new(move || {
                     assert!(!running.swap(true, Ordering::SeqCst), "two drains at once");
                     order.lock().push(i);

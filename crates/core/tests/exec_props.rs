@@ -330,9 +330,11 @@ fn every_executor_size_matches_the_sequential_model() {
 }
 
 /// A chain node: `deep([h1, h2, ..])` invokes `deep` on `h1` with the rest
-/// of the chain and adds 1 — each hop holds a worker in a blocking reply
-/// wait, so a chain deeper than the pool deadlocks unless blocked workers
-/// are compensated with spares.
+/// of the chain and adds 1 — each hop waits for the hop below it. When the
+/// hops are due now, every one of them runs on the thread that issued the
+/// head call; when they are due in the future each hop holds a worker in a
+/// blocking reply wait, so a chain deeper than the pool deadlocks unless
+/// blocked workers are compensated with spares.
 #[derive(Debug)]
 struct ChainNode;
 
@@ -368,25 +370,33 @@ impl JsClass for ChainNode {
     }
 }
 
-/// Regression: a nested-invocation chain 32 deep across two nodes on a
-/// 2-worker executor. Every hop blocks its worker awaiting the callee's
-/// reply; without blocking-compensation the pool starves after 2 hops and
-/// the chain never completes.
+/// A nested-invocation chain 32 deep across two nodes on a 2-worker
+/// executor, every hop due now: the application thread runs the whole chain
+/// itself — no worker is held, so nothing is compensated (ROADMAP item 3's
+/// criterion).
 #[test]
 fn deep_nested_chain_completes_on_two_worker_executor() {
-    deep_nested_chain_completes(2);
+    deep_nested_chain_completes(2, 1e-5, false);
 }
 
-/// The same chain with a single worker: every hop's dispatch is spawned from
-/// the worker that then blocks on it, so the hand-over on `blocking` entry is
-/// all that keeps the chain moving.
+/// The same chain with a single worker.
 #[test]
 fn deep_nested_chain_completes_on_one_worker_executor() {
-    deep_nested_chain_completes(1);
+    deep_nested_chain_completes(1, 1e-5, false);
 }
 
-fn deep_nested_chain_completes(workers: usize) {
-    let d = two_machine_shell(workers).boot();
+/// The same chain in real time: every message is due 0.9 ms after it is
+/// sent, so every hop finds its chain empty and parks — the fallback. Each
+/// hop then holds a worker in its reply wait, and without blocking
+/// compensation the pool starves after one or two hops.
+#[test]
+fn deep_nested_chain_over_future_dated_links_parks_and_compensates() {
+    deep_nested_chain_completes(1, 1.0, true);
+    deep_nested_chain_completes(2, 1.0, true);
+}
+
+fn deep_nested_chain_completes(workers: usize, time_scale: f64, parks: bool) {
+    let d = two_machine_shell(workers).time_scale(time_scale).boot();
     d.classes()
         .register_class::<ChainNode, _>("ChainNode", None, |_| Ok(ChainNode));
     let reg = d.register_app().unwrap();
@@ -420,13 +430,21 @@ fn deep_nested_chain_completes(workers: usize) {
         .recv_timeout(std::time::Duration::from_secs(60))
         .unwrap_or_else(|_| panic!("deep chain deadlocked on the {workers}-worker executor"));
     assert_eq!(out.unwrap(), Value::I64((DEPTH - 1) as i64));
-    // The blocked-worker ledger (`live - blocked >= base`) had to spawn
-    // spares for the chain to finish; the invariant itself is debug-asserted
-    // at every compensation and retirement inside the executor.
     let stats = d
         .exec_stats()
         .expect("every deployment runs on the executor");
-    assert!(stats.spare_spawns >= 1, "chain must have compensated");
+    if parks {
+        // The blocked-worker ledger (`live - blocked >= base`) had to spawn
+        // spares for the chain to finish; the invariant itself is
+        // debug-asserted at every compensation and retirement inside the
+        // executor.
+        assert!(stats.spare_spawns >= 1, "chain must have compensated");
+    } else {
+        assert_eq!(stats.spare_spawns, 0, "no hop may hold a worker");
+        // 32 hops, each a delivery, a handler and a reply delivery.
+        assert!(stats.caller_jobs >= 3 * DEPTH as u64, "{stats:?}");
+    }
+    assert_eq!(stats.blocked, 0);
     reg.unregister().unwrap();
     d.shutdown();
 }

@@ -118,26 +118,38 @@ fn invocations_racing_with_migration_are_rerouted() {
 
     // Concurrent invoker hammering the object while it migrates back and
     // forth; every sinvoke must succeed (Figure 4's transparent re-routing).
+    use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
     let obj2 = obj.clone();
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let stop2 = stop.clone();
+    let stop = std::sync::Arc::new(AtomicBool::new(false));
+    let done = std::sync::Arc::new(AtomicI64::new(0));
+    let (stop2, done2) = (stop.clone(), done.clone());
     let invoker = std::thread::spawn(move || {
-        let mut count = 0i64;
-        while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
+        while !stop2.load(Ordering::Relaxed) {
             obj2.sinvoke("add", &[Value::I64(1)])
                 .expect("invoke survives migration");
-            count += 1;
+            done2.fetch_add(1, Ordering::Relaxed);
         }
-        count
     });
-    for round in 0..6 {
-        let dst = NodeId(1 + (round % 2) as u32); // 1 → 2 → 1 → ...
-        let target = NodeId(if dst == NodeId(1) { 2 } else { 1 });
-        obj.migrate(MigrateTarget::ToPhys(target), None).unwrap();
+    // The race is the point: migrations start once the invoker is calling,
+    // and go on until at least 100 adds have run alongside them. (Six
+    // migrations take less time than a thread needs to start.)
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let in_time = || std::time::Instant::now() < deadline;
+    while done.load(Ordering::Relaxed) == 0 {
+        assert!(in_time(), "invoker made no progress");
+        std::thread::yield_now();
     }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let count = invoker.join().unwrap();
-    assert!(count > 0, "invoker made no progress");
+    let overlap_from = done.load(Ordering::Relaxed);
+    let mut round = 0;
+    while round < 6 || done.load(Ordering::Relaxed) < overlap_from + 100 {
+        let target = NodeId(2 - (round % 2) as u32); // 1 → 2 → 1 → ...
+        obj.migrate(MigrateTarget::ToPhys(target), None).unwrap();
+        round += 1;
+        assert!(in_time(), "too few adds overlapped the migrations");
+    }
+    stop.store(true, Ordering::Relaxed);
+    invoker.join().unwrap();
+    let count = done.load(Ordering::Relaxed);
     // No lost updates: the counter equals the number of successful adds.
     assert_eq!(obj.sinvoke("get", &[]).unwrap(), Value::I64(count));
     d.shutdown();

@@ -13,10 +13,21 @@
 //! run for microseconds to milliseconds, so queue-op cost is noise and the
 //! lock-based scheme is trivially sound.
 //!
+//! # A synchronous caller runs its own call
+//!
+//! Between issuing a synchronous request and its reply a thread is inside
+//! [`Executor::help`] and has a private *chain queue*, for two kinds of job:
+//! wake-ups it arms through [`Executor::spawn_at`] that are already due, and
+//! jobs spawned through [`Executor::spawn_for`] for a request open on its
+//! stack. It runs them itself, checking for its reply after each. Nothing
+//! else is ever run by a waiting thread: a stranger's job could re-enter a
+//! lock held lower on the stack (DESIGN.md §13.1).
+//!
 //! # Blocking compensation
 //!
-//! Simulation tasks block: a synchronous RMI parks its worker until the reply
-//! lands, and replies are themselves produced by executor tasks. To stay
+//! A caller whose chain runs dry before its reply (a message due later, a
+//! step another thread owns) parks its thread, and replies are themselves
+//! produced by executor tasks — on a worker, by its peers. To stay
 //! deadlock-free, any wait that depends on *other executor tasks making
 //! progress* must be wrapped in [`blocking`]: it books the worker as blocked
 //! and, when the pool's runnable head-count would drop below its base size,
@@ -45,6 +56,63 @@ thread_local! {
     /// The executor owning the current worker thread and that worker's slot,
     /// if any.
     static CURRENT: RefCell<Option<(Arc<Inner>, Arc<WorkerSlot>)>> = const { RefCell::new(None) };
+    /// This thread's chain queue; live while `owner` is set.
+    static CHAIN: RefCell<Chain> = const {
+        RefCell::new(Chain { owner: None, reqs: Vec::new(), jobs: VecDeque::new() })
+    };
+}
+
+/// The jobs a thread inside [`Executor::help`] runs itself.
+struct Chain {
+    /// The executor the open scopes belong to: deployments do not share chains.
+    owner: Option<Arc<Inner>>,
+    /// Request ids of the `help` scopes open on this stack, outermost first.
+    reqs: Vec<u64>,
+    jobs: VecDeque<Job>,
+}
+
+/// Nested `help` scopes per thread: deeper calls park, sparing the stack.
+const MAX_HELP_DEPTH: usize = 64;
+
+/// Hands this thread's queued chain jobs to their executor, in order: the
+/// thread is about to stop running them (it parks, sleeps or leaves).
+fn flush_chain() {
+    let Some((owner, jobs)) = CHAIN.with(|c| {
+        let mut ch = c.borrow_mut();
+        let owner = ch.owner.clone().filter(|_| !ch.jobs.is_empty())?;
+        Some((owner, std::mem::take(&mut ch.jobs)))
+    }) else {
+        return;
+    };
+    for job in jobs {
+        owner.spawn(job);
+    }
+}
+
+/// Closes one [`Executor::help`] scope, on return and on unwind alike.
+struct HelpScope;
+
+impl Drop for HelpScope {
+    fn drop(&mut self) {
+        flush_chain();
+        CHAIN.with(|c| {
+            let mut ch = c.borrow_mut();
+            ch.reqs.pop();
+            if ch.reqs.is_empty() {
+                ch.owner = None;
+            }
+        });
+    }
+}
+
+/// Whether a waiting caller inside [`Executor::help`] is running this job.
+pub fn helping() -> bool {
+    CHAIN.with(|c| c.borrow().owner.is_some())
+}
+
+/// Whether this thread is an executor worker: one that costs a spare to park.
+pub fn on_worker() -> bool {
+    CURRENT.with(|c| c.borrow().is_some())
 }
 
 /// A mutexed FIFO run queue. Owners pop the front; thieves steal from the
@@ -263,6 +331,7 @@ struct Inner {
     spare_spawns: AtomicU64,
     wakes_targeted: AtomicU64,
     wakes_escalated: AtomicU64,
+    caller_jobs: AtomicU64,
     obs: ObsHandles,
 }
 
@@ -296,6 +365,8 @@ pub struct ExecStats {
     /// added on backlog (queue depth exceeding the worker count).
     pub wakes_escalated: u64,
     pub timer_pending: usize,
+    /// Jobs run by waiting callers inside [`Executor::help`], not by workers.
+    pub caller_jobs: u64,
 }
 
 /// The work-stealing executor. Construct via [`Executor::new`] or
@@ -365,6 +436,7 @@ impl Executor {
             spare_spawns: AtomicU64::new(0),
             wakes_targeted: AtomicU64::new(0),
             wakes_escalated: AtomicU64::new(0),
+            caller_jobs: AtomicU64::new(0),
             obs,
         });
         let mut handles = Vec::with_capacity(base + 1);
@@ -395,16 +467,52 @@ impl Executor {
         self.inner.spawn(job);
     }
 
+    /// Schedule `job`, the handler of request `req`: onto the calling thread's
+    /// chain when that request is open on its stack, else like [`Self::spawn`].
+    pub fn spawn_for(&self, req: u64, job: Job) {
+        self.inner.spawn_chained(Some(req), job);
+    }
+
+    /// Runs `issue` (which sends request `req`), then this thread's chain
+    /// jobs until `done` says the reply is in or the chain is empty — the
+    /// caller then waits as it would have, under [`blocking`]. Leftover jobs
+    /// go to the workers when the scope closes.
+    pub fn help<T>(&self, req: u64, issue: impl FnOnce() -> T, done: impl Fn(&T) -> bool) -> T {
+        let entered = CHAIN.with(|c| {
+            let ch = &mut *c.borrow_mut();
+            let owner = ch.owner.get_or_insert_with(|| Arc::clone(&self.inner));
+            let ok = Arc::ptr_eq(owner, &self.inner) && ch.reqs.len() < MAX_HELP_DEPTH;
+            if ok {
+                ch.reqs.push(req);
+            }
+            ok
+        });
+        if !entered {
+            return issue();
+        }
+        let _scope = HelpScope;
+        let out = issue();
+        while !done(&out) {
+            let Some(job) = CHAIN.with(|c| c.borrow_mut().jobs.pop_front()) else {
+                break;
+            };
+            self.inner.caller_jobs.fetch_add(1, Ordering::Relaxed);
+            job();
+        }
+        out
+    }
+
     /// Schedule `job` to run at (not before) the real-time instant `at`.
     /// Jobs with equal *future* deadlines run in submission order. A job
     /// whose deadline has already passed skips the timer thread and is
     /// spawned directly, so it may overtake a timer entry that is due but not
     /// yet released; callers that need order across that edge keep their own
     /// `(due, seq)` queue and use these jobs only as wake-ups (as the
-    /// delivery plane does).
+    /// delivery plane does). Armed by a thread inside [`Executor::help`],
+    /// such a job goes to that thread's chain.
     pub fn spawn_at(&self, at: Instant, job: Job) {
         if at <= Instant::now() {
-            self.inner.spawn(job);
+            self.inner.spawn_chained(None, job);
             return;
         }
         let mut st = self.inner.timer.lock();
@@ -435,6 +543,7 @@ impl Executor {
             wakes_targeted: self.inner.wakes_targeted.load(Ordering::Relaxed),
             wakes_escalated: self.inner.wakes_escalated.load(Ordering::Relaxed),
             timer_pending: self.inner.timer.lock().heap.len(),
+            caller_jobs: self.inner.caller_jobs.load(Ordering::Relaxed),
         }
     }
 
@@ -516,6 +625,25 @@ impl Inner {
                 self.note_queued();
                 self.wake_for(i);
             }
+        }
+    }
+
+    /// Queues `job` on the calling thread's chain when it has a scope open on
+    /// this executor — and on `req`, if the job is tied to one; spawns it
+    /// otherwise.
+    fn spawn_chained(self: &Arc<Self>, req: Option<u64>, job: Job) {
+        let job = CHAIN.with(|c| {
+            let mut ch = c.borrow_mut();
+            let mine = ch.owner.as_ref().is_some_and(|o| Arc::ptr_eq(o, self));
+            if mine && req.is_none_or(|r| ch.reqs.contains(&r)) {
+                ch.jobs.push_back(job);
+                None
+            } else {
+                Some(job)
+            }
+        });
+        if let Some(job) = job {
+            self.spawn(job);
         }
     }
 
@@ -757,12 +885,14 @@ fn timer_loop(inner: &Arc<Inner>) {
 
 /// Run `f`, booking the current executor worker (if any) as blocked so the
 /// pool spawns a spare when its runnable head-count would drop below base.
-/// On a non-executor thread this is just `f()`.
+/// On a non-executor thread this is just `f()` — after handing over any
+/// chain jobs the thread holds, which it is about to stop running.
 ///
 /// Wrap any wait whose completion depends on other executor tasks running:
 /// synchronous call waits, result-handle gets, contended object locks. Also
 /// used for long simulated compute sleeps so they don't serialise the pool.
 pub fn blocking<T>(f: impl FnOnce() -> T) -> T {
+    flush_chain();
     let Some((inner, slot)) = CURRENT.with(|c| c.borrow().clone()) else {
         return f();
     };
@@ -1043,5 +1173,113 @@ mod tests {
     #[test]
     fn blocking_outside_executor_is_passthrough() {
         assert_eq!(blocking(|| 41 + 1), 42);
+    }
+
+    /// A job that records its label and the thread it ran on.
+    type Log = Arc<Mutex<Vec<(&'static str, std::thread::ThreadId)>>>;
+    fn logging(log: &Log, label: &'static str) -> Job {
+        let log = Arc::clone(log);
+        Box::new(move || log.lock().push((label, std::thread::current().id())))
+    }
+    fn wait_for(log: &Log, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while log.lock().len() < n {
+            assert!(Instant::now() < deadline, "{:?}", log.lock());
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_helping_thread_runs_its_due_wakeups_and_its_own_requests_only() {
+        let ex = Executor::new(1);
+        let other = Executor::new(1);
+        let log = Log::default();
+        let me = std::thread::current().id();
+        let out = ex.help(
+            7,
+            || {
+                ex.spawn_at(Instant::now(), logging(&log, "due"));
+                ex.spawn_for(7, logging(&log, "mine"));
+                ex.spawn_for(8, logging(&log, "strangers"));
+                ex.spawn(logging(&log, "untagged"));
+                other.spawn_at(Instant::now(), logging(&log, "other executor"));
+                ex.spawn_at(
+                    Instant::now() + Duration::from_millis(20),
+                    logging(&log, "future"),
+                );
+                // A nested scope sees the outer request as open too.
+                ex.help(9, || ex.spawn_for(7, logging(&log, "outer")), |_| false);
+                "issued"
+            },
+            |_| false,
+        );
+        assert_eq!(out, "issued");
+        assert!(!helping());
+        wait_for(&log, 7);
+        let log = log.lock();
+        let on_me: Vec<_> = log
+            .iter()
+            .filter(|(_, t)| *t == me)
+            .map(|(l, _)| *l)
+            .collect();
+        assert_eq!(on_me, ["due", "mine", "outer"], "{log:?}");
+        assert_eq!(ex.stats().caller_jobs, 3);
+        assert_eq!(other.stats().caller_jobs, 0);
+        ex.shutdown();
+        other.shutdown();
+    }
+
+    #[test]
+    fn leftover_chain_jobs_reach_the_workers_in_order() {
+        let ex = Executor::new(1);
+        let me = std::thread::current().id();
+        // Left when the scope closes, when it unwinds, and when the thread
+        // enters `blocking`: each time both jobs run, in order, elsewhere.
+        for how in ["done", "unwind", "blocking"] {
+            let log = Log::default();
+            let issue = || {
+                ex.spawn_for(1, logging(&log, "first"));
+                ex.spawn_for(1, logging(&log, "second"));
+                match how {
+                    "unwind" => panic!("unwinding out of the scope"),
+                    "blocking" => blocking(|| wait_for(&log, 2)),
+                    _ => {}
+                }
+            };
+            let run = std::panic::AssertUnwindSafe(|| ex.help(1, issue, |_| true));
+            assert_eq!(std::panic::catch_unwind(run).is_err(), how == "unwind");
+            assert!(!helping(), "{how}");
+            wait_for(&log, 2);
+            let log = log.lock();
+            assert_eq!((log[0].0, log[1].0), ("first", "second"), "{how}");
+            assert!(log.iter().all(|(_, t)| *t != me), "{how}: {log:?}");
+        }
+        assert_eq!(ex.stats().caller_jobs, 0);
+        ex.shutdown();
+    }
+
+    #[test]
+    fn help_scopes_nest_to_a_bound_and_then_fall_back() {
+        let ex = Executor::new(1);
+        fn nest(ex: &Executor, depth: usize, log: &Log) {
+            ex.help(
+                depth as u64,
+                || {
+                    if depth < MAX_HELP_DEPTH + 1 {
+                        nest(ex, depth + 1, log);
+                    } else {
+                        // One level too deep: no scope, so not this thread's.
+                        ex.spawn_for(depth as u64, logging(log, "too deep"));
+                    }
+                },
+                |_| false,
+            )
+        }
+        let log = Log::default();
+        nest(&ex, 1, &log);
+        wait_for(&log, 1);
+        assert_ne!(log.lock()[0].1, std::thread::current().id());
+        assert_eq!(ex.stats().caller_jobs, 0);
+        ex.shutdown();
     }
 }

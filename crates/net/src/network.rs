@@ -974,6 +974,14 @@ impl Network {
         }
     }
 
+    /// Delivers, on the calling thread, whatever is due — if anything is and
+    /// no drain is running; a no-op otherwise. The embedding runtime calls
+    /// this for a caller about to park on a reply, which may be one of the
+    /// messages a wake-up armed on some other thread has not got to yet.
+    pub fn deliver_due(&self) {
+        self.queue.drain_if_due();
+    }
+
     /// Stops the delivery plane, discarding in-flight messages. Further
     /// sends are silently queued nowhere; intended for deployment teardown.
     pub fn shutdown(&self) {

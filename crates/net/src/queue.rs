@@ -187,6 +187,20 @@ impl DelayQueue {
         }
     }
 
+    /// Runs the drain on the calling thread if a message is due and no drain
+    /// is active — whoever armed the wake-up for it, which then finds nothing
+    /// to do. For a caller about to wait for one of these messages. Arms
+    /// nothing when nothing is due: a future head keeps the wake-up it has.
+    pub(crate) fn drain_if_due(&self) {
+        {
+            let st = self.inner.state.lock();
+            if st.draining || st.heap.due().is_none_or(|due| due > Instant::now()) {
+                return;
+            }
+        }
+        drain(&self.inner);
+    }
+
     pub(crate) fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Release);
         {
@@ -486,6 +500,33 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(*got.lock(), (0..n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn drain_if_due_runs_a_pending_drain_and_arms_nothing_for_a_future_head() {
+        // A scheduler that only counts: armed wake-ups never run.
+        let armed = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let got: Arc<PlMutex<Vec<u32>>> = Arc::new(PlMutex::new(Vec::new()));
+        let (count, sink) = (Arc::clone(&armed), Arc::clone(&got));
+        let q = DelayQueue::start_tasked(
+            Arc::new(move |_, _| {
+                count.fetch_add(1, Ordering::SeqCst);
+            }),
+            Arc::new(move |e: Envelope| sink.lock().push(*e.payload.downcast::<u32>().unwrap())),
+        );
+        q.push(Instant::now() + Duration::from_secs(60), env(9));
+        q.drain_if_due();
+        assert!(got.lock().is_empty());
+        assert_eq!(armed.load(Ordering::SeqCst), 1, "the push's, and no other");
+        q.push(Instant::now(), env(1));
+        q.push(Instant::now(), env(2));
+        assert_eq!(armed.load(Ordering::SeqCst), 2);
+        q.drain_if_due();
+        assert_eq!(*got.lock(), vec![1, 2]);
+        // The drain left the future head armed again; asking twice adds none.
+        assert_eq!(armed.load(Ordering::SeqCst), 3);
+        q.drain_if_due();
+        assert_eq!(armed.load(Ordering::SeqCst), 3);
     }
 
     #[test]

@@ -527,6 +527,22 @@ impl ShellSession {
                     "steals {}, parks {}, spare spawns {}",
                     s.steals, s.parks, s.spare_spawns
                 );
+                // How the synchronous waits went (counted with metrics on).
+                let metrics = self.deployment.obs().metrics().snapshot();
+                let waits = |how: &str| -> u64 {
+                    let counted = metrics.counters.iter();
+                    counted
+                        .filter(|(k, _)| k.name == "rmi.sync" && k.component == how)
+                        .map(|(_, n)| n)
+                        .sum()
+                };
+                let _ = writeln!(
+                    out,
+                    "jobs run by waiting callers {}, sync waits inline {}, parked {}",
+                    s.caller_jobs,
+                    waits("inline"),
+                    waits("parked")
+                );
                 Ok(out)
             }
             Command::Metrics { json } => {
@@ -833,6 +849,15 @@ mod obs_tests {
         assert!(out.contains("work-stealing executor, 2 workers"), "{out}");
         assert!(out.contains("queue depth"), "{out}");
         assert!(out.contains("steals"), "{out}");
+        // The create and the invoke: two synchronous waits, inline unless an
+        // NA round happened to own the delivery drain.
+        assert!(out.contains("jobs run by waiting callers"), "{out}");
+        assert!(
+            out.contains("inline 2, parked 0")
+                || out.contains("inline 1, parked 1")
+                || out.contains("inline 0, parked 2"),
+            "{out}"
+        );
     }
 
     #[test]

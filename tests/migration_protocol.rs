@@ -47,27 +47,36 @@ fn two_writers_and_migrations_lose_no_updates() {
     let reg = d.register_app().unwrap();
     let obj = JsObj::create(&reg, "Counter", &[], Placement::OnPhys(NodeId(1)), None).unwrap();
     let stop = Arc::new(AtomicBool::new(false));
+    let done = Arc::new(std::sync::atomic::AtomicI64::new(0));
     let mut writers = Vec::new();
     for _ in 0..2 {
         let obj = obj.clone();
-        let stop = Arc::clone(&stop);
+        let (stop, done) = (Arc::clone(&stop), Arc::clone(&done));
         writers.push(std::thread::spawn(move || {
             let mut n = 0i64;
             while !stop.load(Ordering::Relaxed) {
                 obj.sinvoke("add", &[Value::I64(1)]).unwrap();
+                done.fetch_add(1, Ordering::Relaxed);
                 n += 1;
             }
             n
         }));
     }
-    for round in 0..4 {
-        let dst = NodeId(1 + (round % 2));
-        let target = if dst == NodeId(1) {
-            NodeId(2)
-        } else {
-            NodeId(1)
-        };
+    // Four migrations take less time than a thread needs to start: begin
+    // once a writer is writing, and go on until 100 adds have run alongside.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let in_time = || std::time::Instant::now() < deadline;
+    while done.load(Ordering::Relaxed) == 0 {
+        assert!(in_time(), "no writer made progress");
+        std::thread::yield_now();
+    }
+    let overlap_from = done.load(Ordering::Relaxed);
+    let mut round = 0;
+    while round < 4 || done.load(Ordering::Relaxed) < overlap_from + 100 {
+        let target = NodeId(2 - (round % 2)); // 1 → 2 → 1 → ...
         obj.migrate(MigrateTarget::ToPhys(target), None).unwrap();
+        round += 1;
+        assert!(in_time(), "too few adds overlapped the migrations");
     }
     stop.store(true, Ordering::Relaxed);
     let total: i64 = writers.into_iter().map(|w| w.join().unwrap()).sum();
