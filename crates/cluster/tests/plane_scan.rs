@@ -62,7 +62,6 @@ fn dirty_scan_matches_full_scan_on_spiking_cluster() {
     // noise on the idle machines cannot mark them dirty; only the load
     // spike can.
     d.vda().set_plane_config(PlaneConfig {
-        enabled: true,
         ttl: 0.5,
         dirty_threshold: 0.25,
     });

@@ -10,7 +10,7 @@
 
 use crate::calltable::{Reissue, Slot};
 use crate::error::JsError;
-use crate::ids::{AgentAddr, AgentKind, AppId, IdGen, ObjectHandle, ObjectId, ReqId};
+use crate::ids::{AgentAddr, AppId, IdGen, ObjectHandle, ObjectId, ReqId};
 use crate::intern::Sym;
 use crate::msg::Msg;
 use crate::runtime::{obs_now, NodeShared};
@@ -29,9 +29,6 @@ use std::sync::{Arc, Weak};
 pub(crate) struct AppObjEntry {
     /// Node whose PubOA currently holds the object.
     pub location: NodeId,
-    /// The object's class (diagnostics; location is the load-bearing field).
-    #[allow(dead_code)]
-    pub class: String,
 }
 
 /// Shared state of one application object agent.
@@ -125,13 +122,9 @@ impl AppShared {
             },
         )?;
         span.finish(obs_now(&node));
-        self.objects.lock().insert(
-            obj,
-            AppObjEntry {
-                location: target,
-                class: class.to_owned(),
-            },
-        );
+        self.objects
+            .lock()
+            .insert(obj, AppObjEntry { location: target });
         self.dir_writethrough(
             &node,
             jsym_dir::DirCommand::SetLocation {
@@ -166,13 +159,9 @@ impl AppShared {
                 origin: self.addr(),
             },
         )?;
-        self.objects.lock().insert(
-            obj,
-            AppObjEntry {
-                location: target,
-                class: class.to_owned(),
-            },
-        );
+        self.objects
+            .lock()
+            .insert(obj, AppObjEntry { location: target });
         self.dir_writethrough(
             &node,
             jsym_dir::DirCommand::SetLocation {
@@ -214,13 +203,7 @@ impl AppShared {
             match objects.get_mut(&obj) {
                 Some(entry) => entry.location = target,
                 None => {
-                    objects.insert(
-                        obj,
-                        AppObjEntry {
-                            location: target,
-                            class: class.to_owned(),
-                        },
-                    );
+                    objects.insert(obj, AppObjEntry { location: target });
                 }
             }
         }
@@ -668,14 +651,4 @@ pub(crate) fn pick_least_loaded(
     best.map(|(_, id)| id).ok_or_else(|| {
         JsError::PlacementFailed("no candidate node satisfies the constraints".into())
     })
-}
-
-/// Resolves [`AgentKind`] display for diagnostics.
-#[allow(dead_code)]
-pub(crate) fn agent_kind_label(kind: AgentKind) -> String {
-    match kind {
-        AgentKind::Pub => "pub".to_owned(),
-        AgentKind::App(a) => format!("{a}"),
-        AgentKind::Dir => "dir".to_owned(),
-    }
 }

@@ -125,7 +125,7 @@ impl CallTable {
     }
 
     /// Number of outstanding requests.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.pending.lock().len()
     }

@@ -10,7 +10,6 @@
 //! language can reproduce.
 
 use crate::appoa::AppShared;
-use crate::error::JsError;
 use crate::ids::{AgentAddr, IdGen};
 use crate::msg::Msg;
 use crate::Result;
@@ -199,19 +198,19 @@ impl PushArtifact for Mutex<Vec<Artifact>> {
     }
 }
 
-/// Validation helper: an artifact name must be usable as a map key.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn validate_artifact_name(name: &str) -> Result<()> {
-    if name.is_empty() {
-        Err(JsError::BadArguments("empty artifact name".into()))
-    } else {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::JsError;
+
+    /// Validation helper: an artifact name must be usable as a map key.
+    fn validate_artifact_name(name: &str) -> Result<()> {
+        if name.is_empty() {
+            Err(JsError::BadArguments("empty artifact name".into()))
+        } else {
+            Ok(())
+        }
+    }
 
     #[test]
     fn artifact_names_validate() {

@@ -19,17 +19,6 @@ pub(crate) struct Packet {
     pub msg: Msg,
 }
 
-/// Aggregation level of a monitoring report (paper §5.1). Carried on the
-/// wire for protocol completeness; receivers key aggregates by label.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(dead_code)]
-pub(crate) enum ReportLevel {
-    Node,
-    Cluster,
-    Site,
-    Domain,
-}
-
 /// Protocol messages between AppOAs, PubOAs and NAs.
 #[derive(Debug)]
 pub(crate) enum Msg {
@@ -126,11 +115,10 @@ pub(crate) enum Msg {
     /// the node can release the accounted memory.
     UnloadArtifact { name: String, bytes: usize },
     // ---------------------------------------------------------------- NAS
-    /// Periodic monitoring report to a manager.
+    /// Periodic monitoring report to a manager: a node's own snapshot
+    /// (empty `label`) or the aggregate of a component it manages.
     SysReport {
         from: NodeId,
-        #[allow(dead_code)]
-        level: ReportLevel,
         label: String,
         snapshot: SysSnapshot,
     },
@@ -294,7 +282,6 @@ mod tests {
         assert!(hb.wire_size() < 64);
         let report = Msg::SysReport {
             from: NodeId(2),
-            level: ReportLevel::Node,
             label: "vc0".into(),
             snapshot: SysSnapshot::empty(0.0),
         };

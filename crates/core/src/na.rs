@@ -8,7 +8,7 @@
 //! failure timeout — upon which a backup manager takes over.
 
 use crate::ids::AgentAddr;
-use crate::msg::{Msg, ReportLevel};
+use crate::msg::Msg;
 use crate::runtime::NodeShared;
 use jsym_net::{NodeId, VirtTime};
 use jsym_sysmon::{aggregate, ParamHistory, SysSnapshot};
@@ -72,9 +72,6 @@ impl NaKnobs {
 
 /// Per-node NAS state.
 pub(crate) struct NaState {
-    /// Boot-time configuration (the live values are in `knobs`).
-    #[allow(dead_code)]
-    pub config: NaConfig,
     /// Live knobs (paper §5.1: measurement periods and the failure timeout
     /// are "changeable under JS-Shell").
     pub knobs: NaKnobs,
@@ -106,7 +103,6 @@ impl NaState {
     pub(crate) fn new(config: NaConfig) -> Self {
         NaState {
             knobs: NaKnobs::new(&config),
-            config,
             latest: Mutex::new(None),
             history: Mutex::new(ParamHistory::new(config.history.max(1))),
             node_reports: Mutex::new(HashMap::new()),
@@ -222,7 +218,6 @@ pub(crate) fn monitor_round(shared: &Arc<NodeShared>, vda: &jsym_vda::VdaRegistr
             AgentAddr::pub_oa(mgr),
             Msg::SysReport {
                 from: shared.phys,
-                level: ReportLevel::Node,
                 label: String::new(),
                 snapshot: snap.clone(),
             },
@@ -232,7 +227,6 @@ pub(crate) fn monitor_round(shared: &Arc<NodeShared>, vda: &jsym_vda::VdaRegistr
                 AgentAddr::pub_oa(mgr),
                 Msg::SysReport {
                     from: shared.phys,
-                    level: ReportLevel::Cluster,
                     label: label.clone(),
                     snapshot: s.clone(),
                 },

@@ -183,7 +183,6 @@ pub(crate) fn handle(shared: &Arc<NodeShared>, src: NodeId, msg: Msg) {
         }
         Msg::SysReport {
             from,
-            level: _,
             label,
             snapshot,
         } => {

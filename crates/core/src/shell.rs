@@ -122,7 +122,6 @@ pub struct JsShell {
     store: Option<ObjectStore>,
     shared_segments: Vec<LinkClass>,
     observability: bool,
-    param_plane: bool,
     directory_replicas: u32,
     rmi_batching: Option<jsym_net::BatchConfig>,
     executor_threads: usize,
@@ -146,7 +145,6 @@ impl JsShell {
             store: None,
             shared_segments: Vec::new(),
             observability: true,
-            param_plane: true,
             directory_replicas: 0,
             rmi_batching: None,
             executor_threads: 0,
@@ -172,7 +170,10 @@ impl JsShell {
         self
     }
 
-    /// Sets the monitoring period (virtual seconds).
+    /// Sets the monitoring period (virtual seconds): how often each NA
+    /// samples and reports, and for how long the architecture registry
+    /// answers allocation and component queries from one sample per machine
+    /// (`DESIGN.md` §9).
     pub fn monitor_period(mut self, secs: f64) -> Self {
         self.monitor_period = secs;
         self
@@ -232,17 +233,6 @@ impl JsShell {
     /// collapses to a single branch and no clock reads or allocations occur.
     pub fn observability(mut self, enabled: bool) -> Self {
         self.observability = enabled;
-        self
-    }
-
-    /// Enables or disables the parameter aggregation plane: cached samples
-    /// (TTL = monitoring period), incremental component rollups and the
-    /// indexed placement heap. On by default; disable to force every
-    /// allocation and component query onto the recompute-from-scratch slow
-    /// path (the two produce identical placement decisions given the same
-    /// samples — see `DESIGN.md` §9).
-    pub fn param_plane(mut self, enabled: bool) -> Self {
-        self.param_plane = enabled;
         self
     }
 
@@ -377,7 +367,6 @@ impl JsShell {
         let pool = ResourcePool::new();
         let vda = VdaRegistry::with_obs(pool.clone(), obs.clone());
         vda.set_plane_config(jsym_vda::PlaneConfig {
-            enabled: self.param_plane,
             ttl: self.monitor_period,
             ..jsym_vda::PlaneConfig::default()
         });
@@ -948,11 +937,6 @@ impl Deployment {
     /// rejected), ascending by node id.
     pub fn endpoint_stats(&self) -> Vec<jsym_net::EndpointStatsSnapshot> {
         self.inner.network.endpoint_stats()
-    }
-
-    #[allow(dead_code)]
-    pub(crate) fn inner(&self) -> &Arc<DeploymentInner> {
-        &self.inner
     }
 
     /// Stops every node runtime, the supervisor threads, the network and the

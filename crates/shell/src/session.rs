@@ -294,11 +294,7 @@ impl ShellSession {
             Command::Params { cached } => {
                 if cached {
                     let p = self.deployment.plane_stats();
-                    let mut out = format!(
-                        "aggregation plane: {} (ttl {:.2}s)\n",
-                        if p.enabled { "enabled" } else { "disabled" },
-                        p.ttl
-                    );
+                    let mut out = format!("aggregation plane: sample ttl {:.2}s\n", p.ttl);
                     let _ = writeln!(
                         out,
                         "sample cache: {} hits, {} misses, {} invalidations, {} entries",
@@ -685,7 +681,7 @@ mod tests {
         // Allocate something so the plane has cache traffic to report.
         s.run_line("cluster 2 idle>=50");
         let cached = s.run_line("params --cached");
-        assert!(cached.contains("aggregation plane: enabled"), "{cached}");
+        assert!(cached.contains("aggregation plane: sample ttl"), "{cached}");
         assert!(cached.contains("sample cache:"), "{cached}");
         assert!(cached.contains("dirty set:"), "{cached}");
         assert!(s.run_line("params --cached extra").starts_with("error:"));

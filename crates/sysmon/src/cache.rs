@@ -1,4 +1,4 @@
-//! Per-node sample cache with virtual-time TTL and epoch invalidation.
+//! Per-node sample cache with a virtual-time TTL and explicit eviction.
 //!
 //! Paper §5.1 has every node forward its observed system parameters to the
 //! cluster manager once per monitoring period; queries between two periods
@@ -10,10 +10,9 @@
 //! Two invalidation channels exist:
 //! * **TTL** — entries older than `ttl` virtual seconds are treated as
 //!   misses on [`SampleCache::get`];
-//! * **epoch** — [`SampleCache::bump_epoch`] atomically invalidates every
-//!   entry (used when the registry reconfigures the aggregation plane), and
-//!   [`SampleCache::invalidate`] evicts a single node (machine removed or
-//!   failed).
+//! * **eviction** — [`SampleCache::invalidate`] drops a single node's entry
+//!   (machine failed) and [`SampleCache::retain`] the entries of machines
+//!   that left the pool.
 
 use crate::SysSnapshot;
 use jsym_net::{NodeId, VirtTime};
@@ -26,16 +25,10 @@ pub struct CacheStats {
     pub hits: u64,
     /// `get` calls that found no valid entry.
     pub misses: u64,
-    /// Entries evicted via `invalidate`, `bump_epoch` or `retain`.
+    /// Entries evicted via `invalidate` or `retain`.
     pub invalidations: u64,
     /// Entries currently stored (valid or stale).
     pub entries: usize,
-}
-
-#[derive(Clone, Debug)]
-struct Entry {
-    snap: SysSnapshot,
-    epoch: u64,
 }
 
 /// A per-node snapshot cache keyed by physical [`NodeId`].
@@ -45,8 +38,7 @@ struct Entry {
 #[derive(Clone, Debug)]
 pub struct SampleCache {
     ttl: VirtTime,
-    epoch: u64,
-    entries: HashMap<NodeId, Entry>,
+    entries: HashMap<NodeId, SysSnapshot>,
     hits: u64,
     misses: u64,
     invalidations: u64,
@@ -57,7 +49,6 @@ impl SampleCache {
     pub fn new(ttl: VirtTime) -> Self {
         SampleCache {
             ttl: ttl.max(0.0),
-            epoch: 0,
             entries: HashMap::new(),
             hits: 0,
             misses: 0,
@@ -77,16 +68,16 @@ impl SampleCache {
 
     /// Looks up the cached snapshot for `id`, valid at virtual time `now`.
     ///
-    /// An entry is valid when it belongs to the current epoch and is at most
-    /// `ttl` virtual seconds old. Counts a hit or a miss.
+    /// An entry is valid when it is at most `ttl` virtual seconds old. Counts
+    /// a hit or a miss.
     pub fn get(&mut self, id: NodeId, now: VirtTime) -> Option<&SysSnapshot> {
         let valid = self
             .entries
             .get(&id)
-            .is_some_and(|e| e.epoch == self.epoch && now - e.snap.at <= self.ttl);
+            .is_some_and(|snap| now - snap.at <= self.ttl);
         if valid {
             self.hits += 1;
-            self.entries.get(&id).map(|e| &e.snap)
+            self.entries.get(&id)
         } else {
             self.misses += 1;
             None
@@ -97,20 +88,13 @@ impl SampleCache {
     /// accounting — for consumers that just refreshed the cache and want the
     /// authoritative stored value.
     pub fn peek(&self, id: NodeId) -> Option<&SysSnapshot> {
-        self.entries
-            .get(&id)
-            .filter(|e| e.epoch == self.epoch)
-            .map(|e| &e.snap)
+        self.entries.get(&id)
     }
 
-    /// Stores a snapshot for `id`, returning the previously stored one (from
-    /// the current epoch) if any.
+    /// Stores a snapshot for `id`, returning the previously stored one if
+    /// any.
     pub fn put(&mut self, id: NodeId, snap: SysSnapshot) -> Option<SysSnapshot> {
-        let epoch = self.epoch;
-        self.entries
-            .insert(id, Entry { snap, epoch })
-            .filter(|old| old.epoch == epoch)
-            .map(|old| old.snap)
+        self.entries.insert(id, snap)
     }
 
     /// Evicts the entry for `id`, returning it. Counts an invalidation when
@@ -120,14 +104,7 @@ impl SampleCache {
         if old.is_some() {
             self.invalidations += 1;
         }
-        old.map(|e| e.snap)
-    }
-
-    /// Invalidates every entry at once by advancing the epoch.
-    pub fn bump_epoch(&mut self) {
-        self.invalidations += self.entries.len() as u64;
-        self.entries.clear();
-        self.epoch += 1;
+        old
     }
 
     /// Drops entries whose id fails `keep` (machines removed from the pool).
@@ -194,17 +171,6 @@ mod tests {
         assert!(c.invalidate(NodeId(3)).is_none(), "double evict no-ops");
         assert_eq!(c.stats().invalidations, 1);
         assert!(c.get(NodeId(3), 0.0).is_none());
-    }
-
-    #[test]
-    fn bump_epoch_invalidates_everything() {
-        let mut c = SampleCache::new(100.0);
-        c.put(NodeId(0), snap(0.0));
-        c.put(NodeId(1), snap(0.0));
-        c.bump_epoch();
-        assert_eq!(c.stats().invalidations, 2);
-        assert!(c.get(NodeId(0), 0.0).is_none());
-        assert!(c.peek(NodeId(1)).is_none());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::{ClusterKey, DomainKey, NodeKey, ResourcePool, Result, SiteKey, VdaEr
 use crossbeam::channel::{Receiver, Sender};
 use jsym_net::NodeId;
 use jsym_obs::ObsRegistry;
-use jsym_sysmon::{aggregate, JsConstraints, ParamValue, SysParam, SysSnapshot};
+use jsym_sysmon::{JsConstraints, ParamRollup, ParamValue, SysParam, SysSnapshot};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
@@ -62,35 +62,28 @@ impl VdaRegistry {
     /// Runs `f` under the state lock, then broadcasts any events it queued
     /// and exports aggregation-plane counter deltas through obs.
     fn with_state<T>(&self, f: impl FnOnce(&mut VdaState, &ResourcePool) -> T) -> T {
-        let (out, events, deltas) = {
+        let (out, events, before, after, dirty) = {
             let mut st = self.inner.state.write();
-            let before = st.plane.enabled.then(|| st.plane.cache.stats());
+            let before = st.plane.cache.stats();
             let out = f(&mut st, &self.inner.pool);
-            let deltas = before.map(|b| {
-                let a = st.plane.cache.stats();
-                (
-                    a.hits - b.hits,
-                    a.misses - b.misses,
-                    a.invalidations - b.invalidations,
-                    st.plane.dirty.len(),
-                )
-            });
-            (out, std::mem::take(&mut st.pending_events), deltas)
+            let after = st.plane.cache.stats();
+            let events = std::mem::take(&mut st.pending_events);
+            (out, events, before, after, st.plane.dirty.len())
         };
-        if let Some((hits, misses, invalidations, dirty)) = deltas {
-            let obs = &self.inner.obs;
-            if hits > 0 {
-                obs.counter("vda.sample.hits", None, "plane").add(hits);
+        let obs = &self.inner.obs;
+        for (name, delta) in [
+            ("vda.sample.hits", after.hits - before.hits),
+            ("vda.sample.misses", after.misses - before.misses),
+            (
+                "vda.sample.invalidations",
+                after.invalidations - before.invalidations,
+            ),
+        ] {
+            if delta > 0 {
+                obs.counter(name, None, "plane").add(delta);
             }
-            if misses > 0 {
-                obs.counter("vda.sample.misses", None, "plane").add(misses);
-            }
-            if invalidations > 0 {
-                obs.counter("vda.sample.invalidations", None, "plane")
-                    .add(invalidations);
-            }
-            obs.gauge("vda.dirty.size", None, "plane").set(dirty as f64);
         }
+        obs.gauge("vda.dirty.size", None, "plane").set(dirty as f64);
         if !events.is_empty() {
             let mut subs = self.inner.subscribers.lock();
             subs.retain(|tx| events.iter().all(|ev| tx.send(ev.clone()).is_ok()));
@@ -260,11 +253,10 @@ impl VdaRegistry {
 
     // ------------------------------------------------------ aggregation plane
 
-    /// Applies an aggregation-plane configuration (see [`PlaneConfig`]).
-    /// Enabling mid-flight rebuilds the cache, rollups and placement index
-    /// from the pool; disabling reverts every query to the slow path.
+    /// Applies an aggregation-plane configuration (see [`PlaneConfig`]);
+    /// the next query re-checks every cached sample against the new TTL.
     pub fn set_plane_config(&self, cfg: PlaneConfig) {
-        self.with_state(|st, pool| st.set_plane_config(pool, cfg));
+        self.with_state(|st, _| st.set_plane_config(cfg));
     }
 
     /// The current aggregation-plane configuration.
@@ -279,18 +271,21 @@ impl VdaRegistry {
     }
 
     /// Re-targets the sample TTL (the JS-Shell ties it to the monitoring
-    /// period) without touching enablement or cached structures.
+    /// period), keeping the dirty threshold.
     pub fn set_plane_ttl(&self, ttl: f64) {
         self.with_state(|st, _| {
-            st.plane.cache.set_ttl(ttl);
-            st.plane.last_refresh = None;
+            let cfg = PlaneConfig {
+                ttl,
+                ..st.plane_config()
+            };
+            st.set_plane_config(cfg);
         });
     }
 
     /// Scans for constraint violations. `dirty_only` restricts the scan to
     /// nodes whose cached sample moved past the configured threshold (plus
-    /// the nodes already violating) — the event-driven automigrate round.
-    /// Falls back to a full scan when the plane is disabled.
+    /// the nodes already violating) — the event-driven automigrate round;
+    /// otherwise every constrained node is evaluated against a fresh sample.
     pub fn scan_violations(&self, dirty_only: bool) -> ViolationScan {
         self.with_state(|st, pool| st.scan_violations(pool, dirty_only))
     }
@@ -424,12 +419,13 @@ impl VdaRegistry {
         })
     }
 
-    fn component_snapshot(&self, machines: &[NodeId]) -> Result<SysSnapshot> {
-        let mut snaps = Vec::with_capacity(machines.len());
-        for &id in machines {
-            snaps.push(self.inner.pool.snapshot_of(id)?);
-        }
-        Ok(aggregate::average(&snaps))
+    /// Brings the cached samples up to date and reads one component's
+    /// averaged snapshot off its rollup.
+    fn rollup_snapshot(&self, rollup: impl FnOnce(&VdaState) -> &ParamRollup) -> SysSnapshot {
+        self.with_state(|st, pool| {
+            st.plane_refresh(pool);
+            rollup(st).to_snapshot()
+        })
     }
 }
 
@@ -682,23 +678,10 @@ impl Cluster {
 
     /// Averaged snapshot over the cluster's machines (§4.6: "System
     /// parameters for clusters, sites, and domains are averaged across the
-    /// contained nodes"). Served from the incremental rollup when the
-    /// aggregation plane is enabled.
+    /// contained nodes"), over this monitoring period's samples: a read of
+    /// the cluster's incremental rollup.
     pub fn snapshot(&self) -> Result<SysSnapshot> {
-        if self.reg.read_state(|st| st.plane_config().enabled) {
-            return Ok(self.reg.with_state(|st, pool| {
-                st.plane_refresh(pool);
-                st.cluster(self.key).rollup.to_snapshot()
-            }));
-        }
-        self.snapshot_uncached()
-    }
-
-    /// Averaged snapshot recomputed from fresh per-machine samples,
-    /// bypassing the aggregation plane.
-    pub fn snapshot_uncached(&self) -> Result<SysSnapshot> {
-        let machines = self.reg.read_state(|st| st.cluster_machines(self.key));
-        self.reg.component_snapshot(&machines)
+        Ok(self.reg.rollup_snapshot(|st| &st.cluster(self.key).rollup))
     }
 
     /// `getSysParam(param)` — averaged over the cluster.
@@ -860,22 +843,10 @@ impl Site {
             })
     }
 
-    /// Averaged snapshot over all the site's machines. Served from the
-    /// incremental rollup when the aggregation plane is enabled.
+    /// Averaged snapshot over all the site's machines: a read of the
+    /// site's incremental rollup.
     pub fn snapshot(&self) -> Result<SysSnapshot> {
-        if self.reg.read_state(|st| st.plane_config().enabled) {
-            return Ok(self.reg.with_state(|st, pool| {
-                st.plane_refresh(pool);
-                st.site(self.key).rollup.to_snapshot()
-            }));
-        }
-        self.snapshot_uncached()
-    }
-
-    /// Averaged snapshot recomputed from fresh per-machine samples.
-    pub fn snapshot_uncached(&self) -> Result<SysSnapshot> {
-        let machines = self.reg.read_state(|st| st.site_machines(self.key));
-        self.reg.component_snapshot(&machines)
+        Ok(self.reg.rollup_snapshot(|st| &st.site(self.key).rollup))
     }
 
     /// `getSysParam(param)` — averaged over the site.
@@ -1032,22 +1003,10 @@ impl Domain {
             })
     }
 
-    /// Averaged snapshot over all the domain's machines. Served from the
-    /// incremental rollup when the aggregation plane is enabled.
+    /// Averaged snapshot over all the domain's machines: a read of the
+    /// domain's incremental rollup.
     pub fn snapshot(&self) -> Result<SysSnapshot> {
-        if self.reg.read_state(|st| st.plane_config().enabled) {
-            return Ok(self.reg.with_state(|st, pool| {
-                st.plane_refresh(pool);
-                st.domain(self.key).rollup.to_snapshot()
-            }));
-        }
-        self.snapshot_uncached()
-    }
-
-    /// Averaged snapshot recomputed from fresh per-machine samples.
-    pub fn snapshot_uncached(&self) -> Result<SysSnapshot> {
-        let machines = self.reg.read_state(|st| st.domain_machines(self.key));
-        self.reg.component_snapshot(&machines)
+        Ok(self.reg.rollup_snapshot(|st| &st.domain(self.key).rollup))
     }
 
     /// `getSysParam(param)` — averaged over the domain.

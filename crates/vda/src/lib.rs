@@ -11,6 +11,10 @@
 //! * [`Node`], [`Cluster`], [`Site`], [`Domain`] — the programmer-facing
 //!   handles mirroring the paper's API (`nrNodes`, `getCluster`, `freeNode`,
 //!   `addCluster`, ...);
+//! * the parameter aggregation plane ([`PlaneConfig`], [`PlaneStats`]): one
+//!   sample per machine per monitoring period, incremental component
+//!   aggregates and a placement heap — the one state every allocation and
+//!   component query reads (`DESIGN.md` §9);
 //! * manager hierarchy with backups (paper §5.1): every component is
 //!   controlled by a manager node; only a cluster manager can be a site
 //!   manager and only a site manager a domain manager; when a manager node

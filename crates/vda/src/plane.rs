@@ -1,27 +1,30 @@
-//! The parameter aggregation plane: cached samples, incremental rollups and
-//! an indexed free-machine heap behind the allocation and automigration
-//! paths.
+//! The parameter aggregation plane: the registry's one view of every
+//! machine's system parameters, and the indexes allocation and automigration
+//! read it through (`DESIGN.md` §9).
 //!
-//! The slow path recomputes everything from fresh [`SimMachine`] snapshots on
-//! every query — correct, but O(machines) per allocation and O(nodes) per
-//! automigration round. The plane keeps three derived structures that make
-//! those paths cheap while provably agreeing with the slow path on the same
-//! sample inputs (see `DESIGN.md` §9):
+//! Paper §5.1 has each node sample its parameters once per monitoring period
+//! and its managers average them up the cluster → site → domain hierarchy;
+//! queries between two periods see the same values. The plane is that
+//! pipeline's state inside the registry:
 //!
-//! * a per-machine [`SampleCache`] with a virtual-time TTL, so one monitoring
-//!   interval's worth of queries shares one sample per machine;
+//! * a per-machine [`SampleCache`] with a virtual-time TTL (the monitoring
+//!   period), so one period's worth of queries shares one sample per
+//!   machine — a TTL of `0.0` makes every query take a fresh sample through
+//!   the same code;
 //! * per-component [`ParamRollup`]s (running sum + count per parameter) on
-//!   cluster/site/domain entries, updated incrementally as nodes attach,
-//!   detach and refresh instead of by descending the hierarchy;
-//! * a lazy-deletion min-heap over free machines keyed by smoothed
-//!   `CpuLoad1`, so `alloc_any`/`alloc_many` pop candidates in exactly the
-//!   `(load, id)` order the slow path's full scan would rank them.
+//!   cluster/site/domain entries, updated as nodes attach, detach and
+//!   refresh — a component's averaged snapshot is a read of its rollup;
+//! * a lazy-deletion min-heap over free machines keyed by `(CpuLoad1,
+//!   NodeId)`, which `alloc_any`/`alloc_many` pop candidates from in
+//!   ascending rank.
 //!
 //! A dirty set tracks virtual nodes whose cached sample moved past a
 //! relative threshold since the last automigration scan; dirty-mode scans
 //! re-evaluate only those plus the currently-violating watch set.
 //!
-//! [`SimMachine`]: jsym_sysmon::SimMachine
+//! The reference model these structures are checked against is
+//! `tests/placement_model.rs`: a free set, a linear scan over fresh samples
+//! and `aggregate::average`.
 
 use crate::keys::NodeKey;
 use jsym_net::NodeId;
@@ -29,8 +32,8 @@ use jsym_sysmon::{ParamValue, SampleCache, SysParam, SysSnapshot};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
-/// Default virtual-time TTL for cached samples (matches the default
-/// monitoring period order of magnitude).
+/// Default virtual-time TTL for cached samples: the default monitoring
+/// period.
 pub const DEFAULT_TTL: f64 = 2.0;
 
 /// `f64` with a total order, usable as a heap key.
@@ -54,9 +57,8 @@ impl Ord for OrdF64 {
 /// Configuration of the aggregation plane.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PlaneConfig {
-    /// Whether the fast path is active at all.
-    pub enabled: bool,
-    /// Virtual-time TTL of cached per-machine samples.
+    /// Virtual-time TTL of cached per-machine samples — the monitoring
+    /// period. `0.0` means every query sees a fresh sample.
     pub ttl: f64,
     /// Relative change in any numeric parameter (vs `max(|old|, 1)`) above
     /// which a node is marked dirty for the next automigration scan. `0.0`
@@ -73,7 +75,6 @@ pub const DEFAULT_DIRTY_THRESHOLD: f64 = 0.05;
 impl Default for PlaneConfig {
     fn default() -> Self {
         PlaneConfig {
-            enabled: false,
             ttl: DEFAULT_TTL,
             dirty_threshold: DEFAULT_DIRTY_THRESHOLD,
         }
@@ -83,15 +84,13 @@ impl Default for PlaneConfig {
 /// Point-in-time statistics of the aggregation plane.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PlaneStats {
-    /// Whether the plane is enabled.
-    pub enabled: bool,
     /// Sample TTL in virtual seconds.
     pub ttl: f64,
     /// Cache hits since the plane was created.
     pub hits: u64,
     /// Cache misses (fresh samples taken) since the plane was created.
     pub misses: u64,
-    /// Explicit invalidations (failures, epoch bumps).
+    /// Explicit evictions (failed machines, machines that left the pool).
     pub invalidations: u64,
     /// Machines currently holding a cached sample.
     pub cached: usize,
@@ -115,12 +114,9 @@ pub struct ViolationScan {
 /// Mutable state of the aggregation plane, owned by `VdaState`.
 #[derive(Debug)]
 pub(crate) struct AggPlane {
-    /// Fast path on/off. When off, every other field is quiescent and the
-    /// registry behaves exactly as before the plane existed.
-    pub enabled: bool,
     /// Relative dirty-marking threshold (see [`PlaneConfig`]).
     pub dirty_threshold: f64,
-    /// Per-machine sample cache (virtual-time TTL + epoch invalidation).
+    /// Per-machine sample cache (virtual-time TTL + eviction on failure).
     pub cache: SampleCache,
     /// Virtual time of the last completed refresh sweep, if any.
     pub last_refresh: Option<f64>,
@@ -134,8 +130,9 @@ pub(crate) struct AggPlane {
     pub live_by_phys: HashMap<NodeId, Vec<NodeKey>>,
     /// Min-heap of free machines by `(CpuLoad1, NodeId)`, lazily pruned.
     pub heap: BinaryHeap<Reverse<(OrdF64, NodeId)>>,
-    /// Authoritative `machine -> load` map; a heap entry is valid only if it
-    /// matches this bit-exactly.
+    /// The load each indexed machine's one valid heap entry carries; an
+    /// entry is valid only if it matches this bit-exactly, and popping it
+    /// removes the machine from the map.
     pub heap_loads: HashMap<NodeId, f64>,
     /// Nodes whose cached sample moved past the threshold since the last
     /// scan (plus freshly allocated/re-attached nodes).
@@ -147,10 +144,10 @@ pub(crate) struct AggPlane {
 
 impl Default for AggPlane {
     fn default() -> Self {
+        let cfg = PlaneConfig::default();
         AggPlane {
-            enabled: false,
-            dirty_threshold: 0.0,
-            cache: SampleCache::new(DEFAULT_TTL),
+            dirty_threshold: cfg.dirty_threshold,
+            cache: SampleCache::new(cfg.ttl),
             last_refresh: None,
             cached_ids: Vec::new(),
             contrib: HashMap::new(),
@@ -168,7 +165,6 @@ impl AggPlane {
     pub fn stats(&self) -> PlaneStats {
         let c = self.cache.stats();
         PlaneStats {
-            enabled: self.enabled,
             ttl: self.cache.ttl(),
             hits: c.hits,
             misses: c.misses,
@@ -180,20 +176,6 @@ impl AggPlane {
         }
     }
 
-    /// Drops every derived structure (keeping configuration and lifetime
-    /// cache counters) — used on disable and before a rebuild.
-    pub fn clear(&mut self) {
-        self.cache.bump_epoch();
-        self.last_refresh = None;
-        self.cached_ids.clear();
-        self.contrib.clear();
-        self.live_by_phys.clear();
-        self.heap.clear();
-        self.heap_loads.clear();
-        self.dirty.clear();
-        self.watch.clear();
-    }
-
     /// Indexes `id` as a free machine under `load`.
     pub fn heap_push(&mut self, id: NodeId, load: f64) {
         self.heap_loads.insert(id, load);
@@ -202,7 +184,7 @@ impl AggPlane {
 }
 
 /// The heap key for a cached sample: smoothed 1-minute load, with missing
-/// values sorting last (mirrors the slow path's `unwrap_or(f64::MAX)`).
+/// values sorting last.
 pub(crate) fn load_of(snap: &SysSnapshot) -> f64 {
     snap.num(SysParam::CpuLoad1).unwrap_or(f64::MAX)
 }

@@ -8,9 +8,12 @@ use crate::event::{ManagerScope, VdaEvent};
 use crate::plane::{self, AggPlane, OrdF64, PlaneConfig, ViolationScan};
 use crate::{ClusterKey, DomainKey, NodeKey, ResourcePool, Result, SiteKey, VdaError};
 use jsym_net::NodeId;
-use jsym_sysmon::{JsConstraints, ParamRollup, SysParam, SysSnapshot};
+use jsym_sysmon::{JsConstraints, ParamRollup, SysSnapshot};
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
+
+/// Free machines with the load they are indexed under, in rank order.
+type Ranked = Vec<(f64, NodeId)>;
 
 #[derive(Debug)]
 pub(crate) struct NodeEntry {
@@ -18,11 +21,6 @@ pub(crate) struct NodeEntry {
     pub parent: Option<ClusterKey>,
     pub freed: bool,
     pub constraints: Option<JsConstraints>,
-    /// Requested by machine name — such nodes may share a machine with
-    /// other virtual nodes. Recorded for diagnostics; allocation reads the
-    /// refcount in `VdaState::allocated` instead.
-    #[allow(dead_code)]
-    pub named: bool,
 }
 
 #[derive(Debug)]
@@ -33,7 +31,7 @@ pub(crate) struct ClusterEntry {
     pub constraints: Option<JsConstraints>,
     pub manager: Option<NodeKey>,
     pub backup: Option<NodeKey>,
-    /// Incremental parameter aggregate over member nodes (plane fast path).
+    /// Incremental parameter aggregate over member nodes.
     pub rollup: ParamRollup,
 }
 
@@ -74,7 +72,8 @@ pub(crate) struct VdaState {
     pub failed: HashSet<NodeId>,
     /// Events produced by the current operation, drained by the registry.
     pub pending_events: Vec<VdaEvent>,
-    /// The parameter aggregation plane (disabled by default).
+    /// The parameter aggregation plane: cached samples, placement heap,
+    /// dirty set (the component rollups live on the entries above).
     pub plane: AggPlane,
 }
 
@@ -112,210 +111,63 @@ impl VdaState {
 
     // ------------------------------------------------------------ allocation
 
-    /// Machines not backing any live virtual node and not failed.
-    fn free_machines(&self, pool: &ResourcePool) -> Vec<NodeId> {
-        pool.ids()
-            .into_iter()
-            .filter(|id| {
-                !self.failed.contains(id) && self.allocated.get(id).copied().unwrap_or(0) == 0
-            })
-            .collect()
+    /// Whether `id` backs no live virtual node and has not failed.
+    fn is_free(&self, id: NodeId) -> bool {
+        !self.failed.contains(&id) && self.allocated.get(&id).copied().unwrap_or(0) == 0
     }
 
-    fn insert_node(
-        &mut self,
-        phys: NodeId,
-        constraints: Option<JsConstraints>,
-        named: bool,
-    ) -> NodeKey {
+    fn insert_node(&mut self, phys: NodeId, constraints: Option<JsConstraints>) -> NodeKey {
         let key = NodeKey(self.nodes.len() as u32);
         self.nodes.push(NodeEntry {
             phys,
             parent: None,
             freed: false,
             constraints,
-            named,
         });
         *self.allocated.entry(phys).or_insert(0) += 1;
-        if self.plane.enabled {
-            // The machine is no longer free; the node is evaluated on the
-            // next dirty scan.
-            self.plane.heap_loads.remove(&phys);
-            self.plane.live_by_phys.entry(phys).or_default().push(key);
-            self.plane.dirty.insert(key);
-        }
+        // The node is evaluated on the next dirty scan.
+        self.plane.live_by_phys.entry(phys).or_default().push(key);
+        self.plane.dirty.insert(key);
         self.emit(VdaEvent::NodeAllocated { node: key, phys });
         key
     }
 
-    /// Allocates one machine, preferring the least loaded candidate that
-    /// satisfies `constraints` ("JRS will allocate a node with low system
-    /// load and reasonable resources available", §4.2).
-    pub fn alloc_any(
-        &mut self,
-        pool: &ResourcePool,
-        constraints: Option<&JsConstraints>,
-    ) -> Result<NodeKey> {
-        if self.plane.enabled {
-            return self.alloc_any_fast(pool, constraints);
-        }
-        let candidates = self.free_machines(pool);
-        if candidates.is_empty() {
-            return Err(VdaError::InsufficientNodes {
-                requested: 1,
-                available: 0,
-            });
-        }
-        let mut best: Option<(f64, NodeId)> = None;
-        for id in candidates {
-            let snap = pool.snapshot_of(id)?;
-            if let Some(c) = constraints {
-                if !c.holds(&snap) {
-                    continue;
-                }
-            }
-            // Rank by 1-minute load average; lower is better.
-            let load = snap.num(SysParam::CpuLoad1).unwrap_or(f64::MAX);
-            if best.is_none_or(|(b, _)| load < b) {
-                best = Some((load, id));
-            }
-        }
-        match best {
-            Some((_, id)) => Ok(self.insert_node(id, constraints.cloned(), false)),
-            None => Err(VdaError::ConstraintsUnsatisfied),
-        }
-    }
-
-    /// Allocates the machine with a specific host name. Named requests are
-    /// always honored while the machine is alive, even if it already backs
-    /// another virtual node (explicit sharing).
-    pub fn alloc_named(&mut self, pool: &ResourcePool, name: &str) -> Result<NodeKey> {
-        // Keep the plane's invariant that every machine backing a live node
-        // has a cached sample.
-        self.plane_refresh(pool);
-        let (id, _) = pool.by_name(name)?;
-        if self.failed.contains(&id) {
-            return Err(VdaError::UnknownPhysicalNode(id));
-        }
-        Ok(self.insert_node(id, None, true))
-    }
-
-    /// Allocates `n` distinct machines, all satisfying `constraints`;
-    /// all-or-nothing.
-    pub fn alloc_many(
-        &mut self,
-        pool: &ResourcePool,
-        n: usize,
-        constraints: Option<&JsConstraints>,
-    ) -> Result<Vec<NodeKey>> {
-        if self.plane.enabled {
-            return self.alloc_many_fast(pool, n, constraints);
-        }
-        let mut ranked: Vec<(f64, NodeId)> = Vec::new();
-        let candidates = self.free_machines(pool);
-        for id in &candidates {
-            let snap = pool.snapshot_of(*id)?;
-            if let Some(c) = constraints {
-                if !c.holds(&snap) {
-                    continue;
-                }
-            }
-            ranked.push((snap.num(SysParam::CpuLoad1).unwrap_or(f64::MAX), *id));
-        }
-        if ranked.len() < n {
-            return if constraints.is_some() && candidates.len() >= n {
-                Err(VdaError::ConstraintsUnsatisfied)
-            } else {
-                Err(VdaError::InsufficientNodes {
-                    requested: n,
-                    available: ranked.len(),
-                })
-            };
-        }
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        Ok(ranked
-            .into_iter()
-            .take(n)
-            .map(|(_, id)| self.insert_node(id, constraints.cloned(), false))
-            .collect())
-    }
-
-    // ------------------------------------------------- indexed allocation
-
     /// Pops the next valid free machine off the placement heap, or `None`
     /// when the heap is exhausted. Stale entries (superseded load, machine
-    /// no longer free) are discarded lazily.
+    /// no longer free) are discarded lazily. `heap_loads` names the one
+    /// valid heap entry of a machine, so it goes with the entry: a machine
+    /// that was allocated by name while indexed and freed again must not be
+    /// found twice.
     fn pop_free(&mut self) -> Option<(f64, NodeId)> {
         while let Some(Reverse((OrdF64(load), id))) = self.plane.heap.pop() {
             if self.plane.heap_loads.get(&id) != Some(&load) {
                 continue; // superseded by a newer load for this machine
             }
-            let free =
-                !self.failed.contains(&id) && self.allocated.get(&id).copied().unwrap_or(0) == 0;
-            if !free {
-                self.plane.heap_loads.remove(&id);
-                continue;
+            self.plane.heap_loads.remove(&id);
+            if self.is_free(id) {
+                return Some((load, id));
             }
-            return Some((load, id));
         }
         None
     }
 
-    /// Heap-indexed `alloc_any`: pops candidates in exactly the `(load, id)`
-    /// order the slow path would rank them, so both paths pick the same
-    /// machine given the same samples.
-    fn alloc_any_fast(
+    /// Pops free machines in ascending `(CpuLoad1, NodeId)` order until `n`
+    /// of them satisfy `constraints` (judged on this period's cached
+    /// samples) or the heap runs dry. Returns `(satisfying, rejected)`;
+    /// whatever the caller does not allocate goes back through
+    /// [`Self::unpop`].
+    fn pop_satisfying(
         &mut self,
         pool: &ResourcePool,
+        n: usize,
         constraints: Option<&JsConstraints>,
-    ) -> Result<NodeKey> {
+    ) -> (Ranked, Ranked) {
         self.plane_refresh(pool);
         // Judge cache validity at the refresh watermark, not a later clock
         // read: at steep time scales the TTL can lapse mid-operation.
         let now = self.plane.last_refresh.unwrap_or_else(|| pool.now());
         let compiled = constraints.map(|c| c.compile());
-        let mut rejected: Vec<(f64, NodeId)> = Vec::new();
-        let mut chosen: Option<NodeId> = None;
-        while let Some((load, id)) = self.pop_free() {
-            let ok = match &compiled {
-                None => true,
-                Some(c) => self
-                    .plane
-                    .cache
-                    .get(id, now)
-                    .is_some_and(|snap| c.holds(snap)),
-            };
-            if ok {
-                chosen = Some(id);
-                break;
-            }
-            rejected.push((load, id));
-        }
-        for (load, id) in rejected {
-            self.plane.heap.push(Reverse((OrdF64(load), id)));
-        }
-        match chosen {
-            Some(id) => Ok(self.insert_node(id, constraints.cloned(), false)),
-            None if self.plane.heap_loads.is_empty() => Err(VdaError::InsufficientNodes {
-                requested: 1,
-                available: 0,
-            }),
-            None => Err(VdaError::ConstraintsUnsatisfied),
-        }
-    }
-
-    /// Heap-indexed `alloc_many`; all-or-nothing like the slow path.
-    fn alloc_many_fast(
-        &mut self,
-        pool: &ResourcePool,
-        n: usize,
-        constraints: Option<&JsConstraints>,
-    ) -> Result<Vec<NodeKey>> {
-        self.plane_refresh(pool);
-        let now = self.plane.last_refresh.unwrap_or_else(|| pool.now());
-        let compiled = constraints.map(|c| c.compile());
-        let mut satisfying: Vec<(f64, NodeId)> = Vec::new();
-        let mut rejected: Vec<(f64, NodeId)> = Vec::new();
+        let (mut satisfying, mut rejected) = (Vec::new(), Vec::new());
         while satisfying.len() < n {
             let Some((load, id)) = self.pop_free() else {
                 break;
@@ -334,14 +186,66 @@ impl VdaState {
                 rejected.push((load, id));
             }
         }
+        (satisfying, rejected)
+    }
+
+    /// Returns popped-but-unallocated machines to the placement heap.
+    fn unpop(&mut self, entries: impl IntoIterator<Item = (f64, NodeId)>) {
+        for (load, id) in entries {
+            self.plane.heap_push(id, load);
+        }
+    }
+
+    /// Allocates one machine, preferring the least loaded candidate that
+    /// satisfies `constraints` ("JRS will allocate a node with low system
+    /// load and reasonable resources available", §4.2): the first free
+    /// machine in `(CpuLoad1, NodeId)` order whose sample satisfies them.
+    pub fn alloc_any(
+        &mut self,
+        pool: &ResourcePool,
+        constraints: Option<&JsConstraints>,
+    ) -> Result<NodeKey> {
+        let (satisfying, rejected) = self.pop_satisfying(pool, 1, constraints);
+        self.unpop(rejected);
+        match satisfying.first() {
+            Some(&(_, id)) => Ok(self.insert_node(id, constraints.cloned())),
+            None if self.plane.heap_loads.is_empty() => Err(VdaError::InsufficientNodes {
+                requested: 1,
+                available: 0,
+            }),
+            None => Err(VdaError::ConstraintsUnsatisfied),
+        }
+    }
+
+    /// Allocates the machine with a specific host name. Named requests are
+    /// always honored while the machine is alive, even if it already backs
+    /// another virtual node (explicit sharing).
+    pub fn alloc_named(&mut self, pool: &ResourcePool, name: &str) -> Result<NodeKey> {
+        // Keep the plane's invariant that every machine backing a live node
+        // has a cached sample.
+        self.plane_refresh(pool);
+        let (id, _) = pool.by_name(name)?;
+        if self.failed.contains(&id) {
+            return Err(VdaError::UnknownPhysicalNode(id));
+        }
+        Ok(self.insert_node(id, None))
+    }
+
+    /// Allocates `n` distinct machines, all satisfying `constraints` — the
+    /// `n` lowest-ranked ones that do; all-or-nothing.
+    pub fn alloc_many(
+        &mut self,
+        pool: &ResourcePool,
+        n: usize,
+        constraints: Option<&JsConstraints>,
+    ) -> Result<Vec<NodeKey>> {
+        let (satisfying, rejected) = self.pop_satisfying(pool, n, constraints);
         if satisfying.len() < n {
             // The heap was drained, so satisfying + rejected is every free
-            // machine — the same candidate set the slow path would count.
+            // machine.
             let available = satisfying.len();
             let free_total = available + rejected.len();
-            for (load, id) in satisfying.into_iter().chain(rejected) {
-                self.plane.heap.push(Reverse((OrdF64(load), id)));
-            }
+            self.unpop(satisfying.into_iter().chain(rejected));
             return Err(if constraints.is_some() && free_total >= n {
                 VdaError::ConstraintsUnsatisfied
             } else {
@@ -351,12 +255,10 @@ impl VdaState {
                 }
             });
         }
-        for (load, id) in rejected {
-            self.plane.heap.push(Reverse((OrdF64(load), id)));
-        }
+        self.unpop(rejected);
         Ok(satisfying
             .into_iter()
-            .map(|(_, id)| self.insert_node(id, constraints.cloned(), false))
+            .map(|(_, id)| self.insert_node(id, constraints.cloned()))
             .collect())
     }
 
@@ -550,21 +452,17 @@ impl VdaState {
             self.cluster_mut(ck).nodes.retain(|&k| k != nk);
             self.refresh_managers_for_cluster(ck, false);
         }
-        if self.plane.enabled {
-            self.plane.dirty.remove(&nk);
-            self.plane.watch.remove(&nk);
-            if let Some(v) = self.plane.live_by_phys.get_mut(&phys) {
-                v.retain(|&k| k != nk);
-            }
-            // If the machine just became free again, re-index it under its
-            // cached load (bit-exact, so the heap entry stays valid).
-            let now_free = !self.failed.contains(&phys)
-                && self.allocated.get(&phys).copied().unwrap_or(0) == 0;
-            if now_free {
-                if let Some(load) = self.plane.cache.peek(phys).map(plane::load_of) {
-                    if self.plane.heap_loads.get(&phys) != Some(&load) {
-                        self.plane.heap_push(phys, load);
-                    }
+        self.plane.dirty.remove(&nk);
+        self.plane.watch.remove(&nk);
+        if let Some(v) = self.plane.live_by_phys.get_mut(&phys) {
+            v.retain(|&k| k != nk);
+        }
+        // If the machine just became free again, re-index it under its
+        // cached load (bit-exact, so the heap entry stays valid).
+        if self.is_free(phys) {
+            if let Some(load) = self.plane.cache.peek(phys).map(plane::load_of) {
+                if self.plane.heap_loads.get(&phys) != Some(&load) {
+                    self.plane.heap_push(phys, load);
                 }
             }
         }
@@ -605,12 +503,10 @@ impl VdaState {
             return Err(VdaError::Freed("site"));
         }
         for ck in self.site(sk).clusters.clone() {
-            if self.plane.enabled {
-                // Detach node contributions while cluster->site->domain
-                // links are still intact.
-                for nk in self.cluster(ck).nodes.clone() {
-                    self.plane_detach_node(nk);
-                }
+            // Detach node contributions while cluster->site->domain links
+            // are still intact.
+            for nk in self.cluster(ck).nodes.clone() {
+                self.plane_detach_node(nk);
             }
             self.cluster_mut(ck).parent = None;
             self.free_cluster(ck)?;
@@ -633,11 +529,9 @@ impl VdaState {
             return Err(VdaError::Freed("domain"));
         }
         for sk in self.domain(dk).sites.clone() {
-            if self.plane.enabled {
-                for ck in self.site(sk).clusters.clone() {
-                    for nk in self.cluster(ck).nodes.clone() {
-                        self.plane_detach_node(nk);
-                    }
+            for ck in self.site(sk).clusters.clone() {
+                for nk in self.cluster(ck).nodes.clone() {
+                    self.plane_detach_node(nk);
                 }
             }
             self.site_mut(sk).parent = None;
@@ -794,12 +688,10 @@ impl VdaState {
         if !self.failed.insert(phys) {
             return; // already handled
         }
-        if self.plane.enabled {
-            // A failed machine's sample is meaningless and it must never be
-            // handed out by the heap.
-            self.plane.cache.invalidate(phys);
-            self.plane.heap_loads.remove(&phys);
-        }
+        // A failed machine's sample is meaningless and it must never be
+        // handed out by the heap.
+        self.plane.cache.invalidate(phys);
+        self.plane.heap_loads.remove(&phys);
         self.emit(VdaEvent::NodeFailed { phys });
         let affected: Vec<NodeKey> = self
             .nodes
@@ -825,87 +717,20 @@ impl VdaState {
 
     // ----------------------------------------------------- aggregation plane
 
-    /// Applies a plane configuration. Enabling rebuilds every derived
-    /// structure from the pool, so the plane can be switched on mid-flight;
-    /// disabling drops them and reverts to the slow path.
-    pub fn set_plane_config(&mut self, pool: &ResourcePool, cfg: PlaneConfig) {
+    /// Applies a plane configuration; the next query re-checks every cached
+    /// sample against the new TTL.
+    pub fn set_plane_config(&mut self, cfg: PlaneConfig) {
         self.plane.cache.set_ttl(cfg.ttl);
         self.plane.dirty_threshold = cfg.dirty_threshold;
-        if cfg.enabled == self.plane.enabled {
-            if cfg.enabled {
-                // TTL/threshold may have changed: force a sweep next time.
-                self.plane.last_refresh = None;
-            }
-            return;
-        }
-        self.plane.enabled = cfg.enabled;
-        if cfg.enabled {
-            self.rebuild_plane(pool);
-        } else {
-            self.plane.clear();
-            for c in &mut self.clusters {
-                c.rollup = ParamRollup::new();
-            }
-            for s in &mut self.sites {
-                s.rollup = ParamRollup::new();
-            }
-            for d in &mut self.domains {
-                d.rollup = ParamRollup::new();
-            }
-        }
+        self.plane.last_refresh = None;
     }
 
     /// Current plane configuration.
     pub fn plane_config(&self) -> PlaneConfig {
         PlaneConfig {
-            enabled: self.plane.enabled,
             ttl: self.plane.cache.ttl(),
             dirty_threshold: self.plane.dirty_threshold,
         }
-    }
-
-    /// Rebuilds cache, heap, contributions and rollups from scratch.
-    fn rebuild_plane(&mut self, pool: &ResourcePool) {
-        self.plane.clear();
-        for c in &mut self.clusters {
-            c.rollup = ParamRollup::new();
-        }
-        for s in &mut self.sites {
-            s.rollup = ParamRollup::new();
-        }
-        for d in &mut self.domains {
-            d.rollup = ParamRollup::new();
-        }
-        let now = pool.now();
-        let ids = pool.ids();
-        for &id in &ids {
-            if let Ok(snap) = pool.snapshot_of(id) {
-                self.plane.cache.put(id, snap);
-            }
-        }
-        let live: Vec<(NodeKey, NodeId)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| !n.freed)
-            .map(|(i, n)| (NodeKey(i as u32), n.phys))
-            .collect();
-        for &(nk, phys) in &live {
-            self.plane.live_by_phys.entry(phys).or_default().push(nk);
-            self.plane.dirty.insert(nk);
-            self.plane_attach_node(nk);
-        }
-        for &id in &ids {
-            let free =
-                !self.failed.contains(&id) && self.allocated.get(&id).copied().unwrap_or(0) == 0;
-            if free {
-                if let Some(load) = self.plane.cache.peek(id).map(plane::load_of) {
-                    self.plane.heap_push(id, load);
-                }
-            }
-        }
-        self.plane.last_refresh = Some(now);
-        self.plane.cached_ids = ids;
     }
 
     /// Ancestor chain of a node as it stands right now.
@@ -917,12 +742,9 @@ impl VdaState {
     }
 
     /// Starts counting `nk`'s cached sample into its ancestors' rollups.
-    /// No-op when the plane is off, the node is unattached, or its machine
-    /// has no cached sample (failed machines after invalidation).
+    /// No-op when the node is unattached or its machine has no cached sample
+    /// (failed machines after invalidation).
     fn plane_attach_node(&mut self, nk: NodeKey) {
-        if !self.plane.enabled {
-            return;
-        }
         let (ck, sk, dk) = self.ancestors(nk);
         let Some(ck) = ck else {
             return;
@@ -946,9 +768,6 @@ impl VdaState {
     /// a second call finds no stored contribution and does nothing. Must run
     /// while the node's parent chain is still intact.
     fn plane_detach_node(&mut self, nk: NodeKey) {
-        if !self.plane.enabled {
-            return;
-        }
         let Some(snap) = self.plane.contrib.remove(&nk) else {
             return;
         };
@@ -969,9 +788,6 @@ impl VdaState {
     /// A cluster just gained a site parent: its members' contributions now
     /// also count toward the site (and the site's domain, if any).
     fn plane_lift_cluster(&mut self, sk: SiteKey, ck: ClusterKey) {
-        if !self.plane.enabled {
-            return;
-        }
         let dk = self.site(sk).parent;
         for nk in self.cluster(ck).nodes.clone() {
             if let Some(snap) = self.plane.contrib.get(&nk).cloned() {
@@ -988,9 +804,6 @@ impl VdaState {
     /// A site just gained a domain parent: lift every contained node's
     /// contribution into the domain rollup.
     fn plane_lift_site(&mut self, dk: DomainKey, sk: SiteKey) {
-        if !self.plane.enabled {
-            return;
-        }
         for ck in self.site(sk).clusters.clone() {
             for nk in self.cluster(ck).nodes.clone() {
                 if let Some(snap) = self.plane.contrib.get(&nk).cloned() {
@@ -1006,9 +819,6 @@ impl VdaState {
     /// the placement heap and the dirty set. Cheap when fresh: a virtual
     /// clock read and a membership comparison.
     pub fn plane_refresh(&mut self, pool: &ResourcePool) {
-        if !self.plane.enabled {
-            return;
-        }
         let now = pool.now();
         let ids = pool.ids();
         let fresh = self
@@ -1034,9 +844,7 @@ impl VdaState {
                     changed.push((id, old, snap));
                 }
             }
-            let free =
-                !self.failed.contains(&id) && self.allocated.get(&id).copied().unwrap_or(0) == 0;
-            if free {
+            if self.is_free(id) {
                 let load = self
                     .plane
                     .cache
@@ -1085,13 +893,12 @@ impl VdaState {
     }
 
     /// Scans for constraint violations. Full mode evaluates every live
-    /// constrained node against a fresh sample (the pre-plane behavior);
-    /// dirty mode re-evaluates only nodes whose cached sample moved past
+    /// constrained node against a fresh sample; dirty mode re-evaluates only nodes whose cached sample moved past
     /// the threshold plus the current watch set, against cached samples.
     /// Given the same samples both modes report the same violations: an
     /// unchanged sample cannot change an unchanged constraint's verdict.
     pub fn scan_violations(&mut self, pool: &ResourcePool, dirty_only: bool) -> ViolationScan {
-        if dirty_only && self.plane.enabled {
+        if dirty_only {
             self.scan_violations_dirty(pool)
         } else {
             self.scan_violations_full(pool)
@@ -1118,12 +925,10 @@ impl VdaState {
                 violations.push((nk, n.phys));
             }
         }
-        if self.plane.enabled {
-            // A full scan subsumes all pending dirt and resets the watch
-            // set to what is actually violating right now.
-            self.plane.watch = violations.iter().map(|&(nk, _)| nk).collect();
-            self.plane.dirty.clear();
-        }
+        // A full scan subsumes all pending dirt and resets the watch set to
+        // what is actually violating right now.
+        self.plane.watch = violations.iter().map(|&(nk, _)| nk).collect();
+        self.plane.dirty.clear();
         ViolationScan {
             violations,
             evaluated,

@@ -652,7 +652,6 @@ fn frozen_pool(loads: &[f64]) -> jsym_vda::ResourcePool {
 fn plane_registry(n: usize) -> VdaRegistry {
     let reg = VdaRegistry::new(frozen_pool(&vec![0.1; n]));
     reg.set_plane_config(PlaneConfig {
-        enabled: true,
         ttl: 60.0,
         dirty_threshold: 0.0,
     });
@@ -695,7 +694,7 @@ fn free_site_evicts_plane_entries() {
     let reg = plane_registry(6);
     let s = reg.request_site(&[2, 2], None).unwrap();
     assert_eq!(reg.plane_stats().tracked, 4);
-    // Site aggregates come from the incremental rollup while the plane is on.
+    // Site aggregates are a read of the incremental rollup.
     assert!(!s.snapshot().unwrap().is_empty());
     s.free().unwrap();
     let stats = reg.plane_stats();
@@ -710,7 +709,6 @@ fn phys_failure_invalidates_cached_sample() {
     // m0 has by far the lowest load, so it is always the first pick.
     let reg = VdaRegistry::new(frozen_pool(&[0.01, 0.4, 0.5]));
     reg.set_plane_config(PlaneConfig {
-        enabled: true,
         ttl: 60.0,
         dirty_threshold: 0.0,
     });
@@ -732,23 +730,21 @@ fn phys_failure_invalidates_cached_sample() {
 }
 
 #[test]
-fn component_snapshot_matches_uncached_while_plane_on() {
-    let reg = plane_registry(5);
-    let c = reg.request_cluster(3, None).unwrap();
-    let cached = c.snapshot().unwrap();
-    let uncached = c.snapshot_uncached().unwrap();
-    for (&param, value) in uncached.iter() {
-        match value {
-            jsym_sysmon::ParamValue::Num(want) => {
-                let got = cached.num(param).unwrap();
-                assert!(
-                    (got - want).abs() <= 1e-6 * want.abs().max(1.0),
-                    "{param:?}: cached {got} vs uncached {want}"
-                );
-            }
-            jsym_sysmon::ParamValue::Str(want) => {
-                assert_eq!(cached.str(param), Some(want.as_str()));
-            }
-        }
-    }
+fn a_machine_named_while_free_is_indexed_once_after_its_release() {
+    // `m0` sits in the placement heap when the named request takes it; the
+    // release must not index it a second time (found by the placement
+    // model: a cluster came back with the same machine twice).
+    let reg = plane_registry(3);
+    reg.request_node().unwrap().free().unwrap();
+    reg.request_node_named("m0").unwrap().free().unwrap();
+    let mut machines = reg.request_cluster(3, None).unwrap().machines();
+    machines.dedup();
+    assert_eq!(machines.len(), 3, "a machine was handed out twice");
+    assert!(matches!(
+        reg.request_node(),
+        Err(VdaError::InsufficientNodes {
+            requested: 1,
+            available: 0
+        })
+    ));
 }
