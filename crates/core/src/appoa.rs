@@ -17,7 +17,6 @@ use crate::runtime::{obs_now, NodeShared};
 use crate::value::{args_wire_size, Value};
 use crate::{Result, ResultHandle};
 use jsym_net::NodeId;
-use jsym_sysmon::{JsConstraints, SysParam};
 use jsym_vda::{ResourcePool, VdaRegistry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -621,34 +620,4 @@ fn answer_where_is(
         }
         sh.send_reply(reply_to, req, result);
     });
-}
-
-// ---------------------------------------------------------------- placement
-
-/// Picks the least-loaded machine out of `candidates` that satisfies
-/// `constraints` ("JRS chooses a node with the smallest system load and
-/// reasonable resources available", §4.4).
-pub(crate) fn pick_least_loaded(
-    pool: &ResourcePool,
-    candidates: &[NodeId],
-    constraints: Option<&JsConstraints>,
-) -> Result<NodeId> {
-    let mut best: Option<(f64, NodeId)> = None;
-    for &id in candidates {
-        let Ok(snap) = pool.snapshot_of(id) else {
-            continue;
-        };
-        if let Some(c) = constraints {
-            if !c.holds(&snap) {
-                continue;
-            }
-        }
-        let load = snap.num(SysParam::CpuLoad1).unwrap_or(f64::MAX);
-        if best.is_none_or(|(b, _)| load < b) {
-            best = Some((load, id));
-        }
-    }
-    best.map(|(_, id)| id).ok_or_else(|| {
-        JsError::PlacementFailed("no candidate node satisfies the constraints".into())
-    })
 }

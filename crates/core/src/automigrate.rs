@@ -94,22 +94,17 @@ pub(crate) fn affinity_round(d: &Arc<DeploymentInner>) -> usize {
         if loc == h.dominant {
             continue;
         }
-        // Load check: never migrate onto a machine markedly busier than
-        // the current host — co-location must not create hotspots.
+        // Load check, on this period's samples: never migrate onto a
+        // machine markedly busier than the current host — co-location must
+        // not create hotspots.
         let load = |n| {
-            d.pool
-                .snapshot_of(n)
-                .ok()
-                .and_then(|s| s.num(jsym_sysmon::SysParam::CpuLoad1))
-                .unwrap_or(0.0)
+            let snap = d.vda.sample_of(n)?;
+            Some(snap.num(jsym_sysmon::SysParam::CpuLoad1).unwrap_or(0.0))
         };
-        let Ok(target_snap) = d.pool.snapshot_of(h.dominant) else {
+        let Some(target_load) = load(h.dominant) else {
             continue; // machine gone from the pool
         };
-        let target_load = target_snap
-            .num(jsym_sysmon::SysParam::CpuLoad1)
-            .unwrap_or(0.0);
-        if target_load > load(loc) + 2.0 {
+        if target_load > load(loc).unwrap_or(0.0) + 2.0 {
             continue;
         }
         if app.migrate_object(obj, h.dominant).is_ok() {
@@ -144,12 +139,8 @@ pub(crate) fn round(d: &Arc<DeploymentInner>) -> usize {
         let node = d.vda.node_handle(node_key);
         let constraints = d.vda.effective_constraints(&node);
         // Locality order: same cluster, then same site, then same domain.
-        let target = d.vda.locality_candidates(&node).into_iter().find(|&cand| {
-            d.pool
-                .snapshot_of(cand)
-                .map(|snap| constraints.holds(&snap))
-                .unwrap_or(false)
-        });
+        let target = (d.vda.locality_candidates(&node).into_iter())
+            .find(|&m| (d.vda.sample_of(m)).is_some_and(|s| constraints.holds(&s)));
         let Some(target) = target else {
             continue; // nowhere satisfying the constraints; leave objects
         };

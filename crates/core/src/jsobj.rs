@@ -1,6 +1,6 @@
 //! `JSObj` — the programmer-facing distributed object (paper §4.4–§4.7).
 
-use crate::appoa::{pick_least_loaded, AppShared};
+use crate::appoa::AppShared;
 use crate::error::JsError;
 use crate::ids::{ObjectHandle, ObjectId};
 use crate::registration::JsRegistration;
@@ -12,6 +12,12 @@ use std::sync::Arc;
 
 /// Where to create an object (the optional second parameter of the paper's
 /// `new JSObj(...)`).
+///
+/// Where the runtime chooses (`Auto`, `InCluster`, `InSite`, `InDomain`) it
+/// takes `VdaRegistry::least_loaded`: lowest `(CpuLoad1, NodeId)` among the
+/// live candidates satisfying the constraints, on *this monitoring period's*
+/// samples (§5.1) — a load change shows at the next period, not mid-period. A
+/// fixed placement's constraints are checked against the same sample.
 #[derive(Clone, Copy, Debug, Default)]
 pub enum Placement<'a> {
     /// Let the runtime pick a node with the smallest system load.
@@ -34,7 +40,8 @@ pub enum Placement<'a> {
     WithObject(&'a JsObj),
 }
 
-/// Where to migrate an object (paper §4.6).
+/// Where to migrate an object (paper §4.6). The runtime's own choices prefer
+/// a machine other than the current one and rank like [`Placement`]'s.
 #[derive(Clone, Copy, Debug)]
 pub enum MigrateTarget<'a> {
     /// Let the runtime pick the least-loaded other node.
@@ -224,12 +231,7 @@ pub(crate) fn resolve_placement(
     constraints: Option<&JsConstraints>,
 ) -> Result<NodeId> {
     let candidates: Vec<NodeId> = match placement {
-        Placement::Auto => app
-            .pool
-            .ids()
-            .into_iter()
-            .filter(|&id| !app.vda.is_failed(id))
-            .collect(),
+        Placement::Auto => app.pool.ids(),
         Placement::Local => return check_fixed(app, app.home, constraints),
         Placement::OnPhys(n) => return check_fixed(app, n, constraints),
         Placement::OnNode(n) => return check_fixed(app, n.phys(), constraints),
@@ -241,7 +243,18 @@ pub(crate) fn resolve_placement(
     if candidates.is_empty() {
         return Err(JsError::PlacementFailed("component has no nodes".into()));
     }
-    pick_least_loaded(&app.pool, &candidates, constraints)
+    least_loaded(app, &candidates, constraints)
+}
+
+fn least_loaded(
+    app: &Arc<AppShared>,
+    candidates: &[NodeId],
+    constraints: Option<&JsConstraints>,
+) -> Result<NodeId> {
+    let none = || JsError::PlacementFailed("no candidate node satisfies the constraints".into());
+    app.vda
+        .least_loaded(candidates, constraints)
+        .ok_or_else(none)
 }
 
 fn check_fixed(
@@ -250,7 +263,8 @@ fn check_fixed(
     constraints: Option<&JsConstraints>,
 ) -> Result<NodeId> {
     if let Some(c) = constraints {
-        let snap = app.pool.snapshot_of(node)?;
+        let snap =
+            (app.vda.sample_of(node)).ok_or(jsym_vda::VdaError::UnknownPhysicalNode(node))?;
         if !c.holds(&snap) {
             return Err(JsError::PlacementFailed(format!(
                 "node {node} does not satisfy the constraints"
@@ -267,11 +281,8 @@ fn resolve_migrate_target(
     constraints: Option<&JsConstraints>,
 ) -> Result<NodeId> {
     let candidates: Vec<NodeId> = match target {
-        MigrateTarget::Auto => app
-            .pool
-            .ids()
-            .into_iter()
-            .filter(|&id| id != current && !app.vda.is_failed(id))
+        MigrateTarget::Auto => (app.pool.ids().into_iter())
+            .filter(|&id| id != current)
             .collect(),
         MigrateTarget::ToPhys(n) => return Ok(n),
         MigrateTarget::ToNode(n) => return Ok(n.phys()),
@@ -293,5 +304,5 @@ fn resolve_migrate_target(
     if pool.is_empty() {
         return Err(JsError::PlacementFailed("no migration target".into()));
     }
-    pick_least_loaded(&app.pool, &pool, constraints)
+    least_loaded(app, &pool, constraints)
 }

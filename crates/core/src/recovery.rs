@@ -13,7 +13,6 @@
 //! working. Updates since the last checkpoint are lost: this is the
 //! "partial" in the paper's "partially recover".
 
-use crate::appoa::pick_least_loaded;
 use crate::error::JsError;
 use crate::ids::ObjectId;
 use crate::shell::DeploymentInner;
@@ -179,7 +178,7 @@ pub(crate) fn recover_from(d: &Arc<DeploymentInner>, dead: jsym_net::NodeId) -> 
             // artifact and try the next.
             let mut candidates = survivors.clone();
             while !candidates.is_empty() {
-                let Ok(target) = pick_least_loaded(&d.pool, &candidates, None) else {
+                let Some(target) = d.vda.least_loaded(&candidates, None) else {
                     break;
                 };
                 match app.restore_object_at(obj, &stored.class, stored.state.clone(), target) {

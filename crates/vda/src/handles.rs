@@ -282,10 +282,26 @@ impl VdaRegistry {
         });
     }
 
+    /// Where the runtime puts an object it may place freely (§4.4): the live
+    /// candidate of lowest `(CpuLoad1, NodeId)`, the allocator's rank, that
+    /// satisfies `constraints` — both judged on this period's samples.
+    pub fn least_loaded(
+        &self,
+        candidates: &[NodeId],
+        constraints: Option<&JsConstraints>,
+    ) -> Option<NodeId> {
+        self.with_state(|st, pool| st.least_loaded(pool, candidates, constraints))
+    }
+
+    /// This monitoring period's sample of a machine, if it has one.
+    pub fn sample_of(&self, machine: NodeId) -> Option<SysSnapshot> {
+        self.with_state(|st, pool| st.sample_of(pool, machine).cloned())
+    }
+
     /// Scans for constraint violations. `dirty_only` restricts the scan to
-    /// nodes whose cached sample moved past the configured threshold (plus
-    /// the nodes already violating) — the event-driven automigrate round;
-    /// otherwise every constrained node is evaluated against a fresh sample.
+    /// nodes whose sample moved past the configured threshold at a sweep (plus
+    /// the nodes already violating), judged on the period's samples — the
+    /// event-driven round; otherwise every constrained node, on a fresh one.
     pub fn scan_violations(&self, dirty_only: bool) -> ViolationScan {
         self.with_state(|st, pool| st.scan_violations(pool, dirty_only))
     }

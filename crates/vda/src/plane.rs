@@ -16,15 +16,16 @@
 //!   refresh — a component's averaged snapshot is a read of its rollup;
 //! * a lazy-deletion min-heap over free machines keyed by `(CpuLoad1,
 //!   NodeId)`, which `alloc_any`/`alloc_many` pop candidates from in
-//!   ascending rank.
+//!   ascending [`rank`] — the order object placement (`least_loaded`) takes
+//!   the minimum of, over the same cached samples.
 //!
 //! A dirty set tracks virtual nodes whose cached sample moved past a
 //! relative threshold since the last automigration scan; dirty-mode scans
 //! re-evaluate only those plus the currently-violating watch set.
 //!
 //! The reference model these structures are checked against is
-//! `tests/placement_model.rs`: a free set, a linear scan over fresh samples
-//! and `aggregate::average`.
+//! `tests/placement_model.rs`: a free set, a linear scan over the period's
+//! samples and `aggregate::average`.
 
 use crate::keys::NodeKey;
 use jsym_net::NodeId;
@@ -120,9 +121,9 @@ pub(crate) struct AggPlane {
     pub cache: SampleCache,
     /// Virtual time of the last completed refresh sweep, if any.
     pub last_refresh: Option<f64>,
-    /// Pool membership at the last refresh; a change forces a sweep even
-    /// inside the TTL window.
-    pub cached_ids: Vec<NodeId>,
+    /// The pool's membership generation at the last refresh; a change forces
+    /// a sweep even inside the TTL window.
+    pub pool_generation: u64,
     /// The exact snapshot each attached node currently contributes to its
     /// ancestor rollups — removed verbatim on detach, so rollups never leak.
     pub contrib: HashMap<NodeKey, SysSnapshot>,
@@ -149,7 +150,7 @@ impl Default for AggPlane {
             dirty_threshold: cfg.dirty_threshold,
             cache: SampleCache::new(cfg.ttl),
             last_refresh: None,
-            cached_ids: Vec::new(),
+            pool_generation: 0,
             contrib: HashMap::new(),
             live_by_phys: HashMap::new(),
             heap: BinaryHeap::new(),
@@ -179,14 +180,21 @@ impl AggPlane {
     /// Indexes `id` as a free machine under `load`.
     pub fn heap_push(&mut self, id: NodeId, load: f64) {
         self.heap_loads.insert(id, load);
-        self.heap.push(Reverse((OrdF64(load), id)));
+        self.heap.push(Reverse(rank(load, id)));
     }
 }
 
-/// The heap key for a cached sample: smoothed 1-minute load, with missing
-/// values sorting last.
+/// The load a cached sample is ranked under: smoothed 1-minute load, with
+/// missing values sorting last.
 pub(crate) fn load_of(snap: &SysSnapshot) -> f64 {
     snap.num(SysParam::CpuLoad1).unwrap_or(f64::MAX)
+}
+
+/// The one ranking of machines by load: ascending load, ties to the lower
+/// machine id. The allocator's heap pops in this order and object placement
+/// takes its minimum.
+pub(crate) fn rank(load: f64, id: NodeId) -> (OrdF64, NodeId) {
+    (OrdF64(load), id)
 }
 
 /// Whether the sample moved enough to re-evaluate its nodes' constraints.

@@ -10,6 +10,8 @@ use std::sync::Arc;
 struct PoolState {
     machines: BTreeMap<NodeId, SimMachine>,
     next_id: u32,
+    /// Bumped whenever a machine joins or leaves.
+    generation: u64,
 }
 
 /// The set of physical machines the JS-Shell has registered with the runtime
@@ -30,6 +32,7 @@ impl ResourcePool {
             state: Arc::new(RwLock::new(PoolState {
                 machines: BTreeMap::new(),
                 next_id: 0,
+                generation: 0,
             })),
         }
     }
@@ -39,13 +42,22 @@ impl ResourcePool {
         let mut st = self.state.write();
         let id = NodeId(st.next_id);
         st.next_id += 1;
+        st.generation += 1;
         st.machines.insert(id, machine);
         id
     }
 
     /// Removes a machine (JS-Shell shrink), returning it if present.
     pub fn remove_machine(&self, id: NodeId) -> Option<SimMachine> {
-        self.state.write().machines.remove(&id)
+        let mut st = self.state.write();
+        st.generation += 1;
+        st.machines.remove(&id)
+    }
+
+    /// Changes whenever a machine joins or leaves: "same machines as last
+    /// time?" without listing them.
+    pub fn generation(&self) -> u64 {
+        self.state.read().generation
     }
 
     /// Looks up a machine by id.
@@ -84,7 +96,9 @@ impl ResourcePool {
         self.state.read().machines.is_empty()
     }
 
-    /// Current snapshot of a machine's system parameters.
+    /// Samples a machine's system parameters now — the sampling primitive of
+    /// the plane's sweep and the full violation scan; placement reads the
+    /// period's samples through `VdaRegistry::least_loaded` / `sample_of`.
     pub fn snapshot_of(&self, id: NodeId) -> Result<SysSnapshot> {
         Ok(self.machine(id)?.snapshot())
     }
@@ -173,6 +187,8 @@ mod tests {
         // Ids are not recycled.
         let b = pool.add_machine(mk("b"));
         assert_ne!(a, b);
+        // Join, leave, join: three membership changes.
+        assert_eq!(pool.generation(), 3);
     }
 
     #[test]

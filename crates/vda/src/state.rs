@@ -162,10 +162,7 @@ impl VdaState {
         n: usize,
         constraints: Option<&JsConstraints>,
     ) -> (Ranked, Ranked) {
-        self.plane_refresh(pool);
-        // Judge cache validity at the refresh watermark, not a later clock
-        // read: at steep time scales the TTL can lapse mid-operation.
-        let now = self.plane.last_refresh.unwrap_or_else(|| pool.now());
+        let now = self.plane_refresh(pool);
         let compiled = constraints.map(|c| c.compile());
         let (mut satisfying, mut rejected) = (Vec::new(), Vec::new());
         while satisfying.len() < n {
@@ -816,19 +813,21 @@ impl VdaState {
 
     /// Refreshes the per-machine sample cache if the TTL window has lapsed
     /// (or pool membership changed), propagating new samples into rollups,
-    /// the placement heap and the dirty set. Cheap when fresh: a virtual
-    /// clock read and a membership comparison.
-    pub fn plane_refresh(&mut self, pool: &ResourcePool) {
+    /// the placement heap and the dirty set. Cheap when fresh: a clock read
+    /// and a generation comparison. Returns the refresh watermark: validity is
+    /// judged there (at steep time scales the TTL can lapse mid-operation).
+    pub fn plane_refresh(&mut self, pool: &ResourcePool) -> f64 {
         let now = pool.now();
-        let ids = pool.ids();
-        let fresh = self
-            .plane
-            .last_refresh
-            .is_some_and(|t| now - t <= self.plane.cache.ttl());
-        if fresh && ids == self.plane.cached_ids {
-            return;
+        // Read before the ids: a late joiner is swept twice, never missed.
+        let generation = pool.generation();
+        let same_pool = generation == self.plane.pool_generation;
+        if let Some(t) = self.plane.last_refresh {
+            if same_pool && now - t <= self.plane.cache.ttl() {
+                return t;
+            }
         }
-        if ids != self.plane.cached_ids {
+        let ids = pool.ids();
+        if !same_pool {
             let keep: HashSet<NodeId> = ids.iter().copied().collect();
             self.plane.cache.retain(|id| keep.contains(&id));
             self.plane.heap_loads.retain(|id, _| keep.contains(id));
@@ -889,13 +888,43 @@ impl VdaState {
             }
         }
         self.plane.last_refresh = Some(now);
-        self.plane.cached_ids = ids;
+        self.plane.pool_generation = generation;
+        now
+    }
+
+    /// This period's sample of `id` (none outside the pool).
+    pub fn sample_of(&mut self, pool: &ResourcePool, id: NodeId) -> Option<&SysSnapshot> {
+        let now = self.plane_refresh(pool);
+        self.plane.cache.get(id, now)
+    }
+
+    /// The lowest-[`plane::rank`]ed live machine among `candidates` whose
+    /// sample of this period satisfies `constraints` (§4.4).
+    pub fn least_loaded(
+        &mut self,
+        pool: &ResourcePool,
+        candidates: &[NodeId],
+        constraints: Option<&JsConstraints>,
+    ) -> Option<NodeId> {
+        let now = self.plane_refresh(pool);
+        let compiled = constraints.map(|c| c.compile());
+        let (failed, cache) = (&self.failed, &mut self.plane.cache);
+        (candidates.iter())
+            .filter(|id| !failed.contains(id))
+            .filter_map(|&id| {
+                let snap = cache.get(id, now)?;
+                (compiled.as_ref())
+                    .is_none_or(|c| c.holds(snap))
+                    .then(|| plane::rank(plane::load_of(snap), id))
+            })
+            .min()
+            .map(|(_, id)| id)
     }
 
     /// Scans for constraint violations. Full mode evaluates every live
-    /// constrained node against a fresh sample; dirty mode re-evaluates only nodes whose cached sample moved past
-    /// the threshold plus the current watch set, against cached samples.
-    /// Given the same samples both modes report the same violations: an
+    /// constrained node against a fresh sample; dirty mode only nodes whose
+    /// sample moved past the threshold at a sweep plus the watch set, against
+    /// the period's samples. Given the same samples both report the same: an
     /// unchanged sample cannot change an unchanged constraint's verdict.
     pub fn scan_violations(&mut self, pool: &ResourcePool, dirty_only: bool) -> ViolationScan {
         if dirty_only {
@@ -936,8 +965,7 @@ impl VdaState {
     }
 
     fn scan_violations_dirty(&mut self, pool: &ResourcePool) -> ViolationScan {
-        self.plane_refresh(pool);
-        let now = self.plane.last_refresh.unwrap_or_else(|| pool.now());
+        let now = self.plane_refresh(pool);
         let mut to_eval: Vec<NodeKey> =
             self.plane.dirty.union(&self.plane.watch).copied().collect();
         to_eval.sort_unstable();

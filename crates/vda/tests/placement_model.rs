@@ -1,56 +1,79 @@
-//! The registry's allocator and component aggregates against a sequential
-//! reference model (DESIGN.md §9).
+//! The registry's allocator, object placement and component aggregates
+//! against a sequential reference model (DESIGN.md §9).
 //!
 //! One thread replays a seeded stream of architecture operations over a pool
 //! of 6–24 machines on an effectively frozen clock — any node, constrained
 //! node, named node, `request_cluster(n)` with and without constraints,
 //! `request_site`, `free` of a node / cluster / site / a site's cluster,
-//! `handle_phys_failure`, a machine leaving and another joining the pool, and
-//! a load change followed by a lapse of the sample window — and mirrors each
-//! in [`Model`] (45 lines): the free set, a linear scan over fresh
-//! `pool.snapshot_of` samples ranked by `(CpuLoad1, NodeId)`, all-or-nothing. The registry (a
-//! sample cache, a lazy-deletion heap, incremental rollups) must then agree
-//! with it:
+//! `handle_phys_failure`, a machine leaving and another joining the pool, a
+//! load change with or without a lapse of the sample window, and object
+//! placement (`least_loaded` over a handful of machines: allocated, free,
+//! failed, gone from the pool, changed this period, or none) — and mirrors
+//! each in [`Model`] (60 lines): the free set and a linear scan over *the
+//! period's* samples (`pool.snapshot_of`, taken at boot, at a join and at a
+//! lapse — never in between) ranked by `(CpuLoad1, NodeId)`, all-or-nothing.
+//! The registry (a sample cache, a lazy-deletion heap, incremental rollups)
+//! must then agree with it:
 //!
 //! * every request picks the same machines in the same order, or fails with
 //!   the same `VdaError` (variant and `available` count);
+//! * every placement picks the same machine, or none;
 //! * every machine backs as many live nodes as the model says, and exactly
 //!   the attached live nodes contribute to a rollup (`PlaneStats::tracked`);
 //! * every live component's `snapshot()` is within 1e-6 relative of
-//!   `aggregate::average` over fresh samples of its machines, and no live
-//!   component lists a failed machine.
+//!   `aggregate::average` over the period's samples of its machines, and no
+//!   live component lists a failed machine.
 //!
 //! `SimClock` follows the wall clock and cannot be stepped (ROADMAP item 2),
 //! so "the window lapses" is the same inequality from the other side: the TTL
 //! is dropped to 0 for one query — the `ttl: 0.0` "every query samples"
 //! setting — and restored, which is also what `set_monitor_period` does to a
 //! live deployment. Without the lapse the registry must keep answering from
-//! the period's samples; `a_load_change_shows_after_the_window_lapses` pins
-//! both halves.
+//! the period's samples — half the stream's load changes stay pending until
+//! some later lapse — and `a_load_change_shows_after_the_window_lapses` pins
+//! both halves by hand.
 //!
 //! Plain `#[test]` with an in-file xorshift: the seeds are fixed, so a
 //! failure (which names its seed and step) reproduces by running the test
 //! again.
 //!
 //! Mutation smokes (each run once in a scratch copy of `src/state.rs`; all
-//! three fail `registry_agrees_with_the_model`):
+//! fail `registry_agrees_with_the_model`, lines as of PR 20's stream):
 //!
-//! 1. `pop_free` keeps the `heap_loads` entry of the machine it returns (the
-//!    statement the issue named in `insert_node` lives there now) — a freed
-//!    machine's stale load still "matches", so it is never indexed again:
-//!    `seed 1, step 9: registry Ok([n17]), model Ok([n9]) (n=1, None)`;
+//! 1. `pop_free` keeps the `heap_loads` entry of the machine it returns — a
+//!    freed machine's stale load still "matches", so it is never indexed
+//!    again: `seed 1, step 8: registry Ok([n17]), model Ok([n2]) (n=1, None)`;
 //! 2. `plane_detach_node` reads its contribution (`contrib.get(..).cloned()`)
-//!    instead of removing it — freed nodes stay tracked: `seed 1, step 4: 6
-//!    tracked, 5 attached` (the rollups themselves survive, because a second
+//!    instead of removing it — freed nodes stay tracked: `seed 1, step 4: 5
+//!    tracked, 4 attached` (the rollups themselves survive, because a second
 //!    detach finds the parent chain already cut);
 //! 3. `plane_refresh` skips `self.site_mut(sk).rollup.replace(&prev, &snap)`
-//!    — a site keeps the previous period's sample: `seed 1, step 99:
-//!    Site(vs3, 1 clusters): AvailMem: rollup 92.646… vs average 43.646…`.
+//!    — a site keeps the previous period's sample: `seed 1, step 144:
+//!    Site(vs12, 1 clusters): AvailMem: rollup 73.446… vs average 59.946…`;
+//! 4. `least_loaded` takes the first satisfying candidate (`.next()` for
+//!    `.min()`) instead of the lowest `(CpuLoad1, NodeId)`: `seed 1, step 54:
+//!    least_loaded([n8, n12, n9, n11], None): registry Some(n8), model
+//!    Some(n12)`;
+//! 5. `least_loaded` skips the constraint check on a cache hit: `seed 1, step
+//!    20: least_loaded([n1, n9, n16, n1, n19], Some(AvailMem >= 91.646…)):
+//!    registry Some(n9), model None`;
+//! 6. `least_loaded` samples the pool (`pool.snapshot_of(id)`) instead of
+//!    reading the cache — a pending load change shows mid-period: `seed 5,
+//!    step 257: least_loaded([n19, n17, n3], Some(AvailMem >= 46.846…)):
+//!    registry None, model Some(n19)` (and
+//!    `a_load_change_shows_after_the_window_lapses` fails on its first
+//!    placement);
+//! 7. `least_loaded` does not skip failed machines (a failed machine is
+//!    sampled again at the next sweep, so it has a sample): `seed 3, step 91:
+//!    least_loaded([n19, n16, n6, n8], Some(AvailMem >= 59.646…)): registry
+//!    Some(n8), model Some(n19)`.
 //!
 //! The first version of this file found a bug the `proptest` twins it
 //! replaces could not (they never asked for a node by name): a machine named
 //! while free was indexed twice after its release, and one `request_cluster`
-//! returned it twice (`vda.rs::a_machine_named_while_free_…`).
+//! returned it twice (`vda.rs::a_machine_named_while_free_…`). PR 20's
+//! extension found one in the model instead: it re-took a lapsed sample at
+//! its next read, by which time the load could have changed again.
 
 use jsym_net::{NodeId, SimClock, TimeScale};
 use jsym_sysmon::{
@@ -105,18 +128,26 @@ impl Model {
         self.live.get(&id).copied().unwrap_or(0)
     }
 
-    /// The `n` lowest-ranked free machines whose fresh sample satisfies `c`.
-    fn pick(&mut self, n: usize, c: Option<&JsConstraints>) -> Result<Vec<NodeId>, VdaError> {
-        let free: Vec<NodeId> = (self.pool.ids().into_iter())
-            .filter(|id| !self.failed.contains(id) && self.live_on(*id) == 0)
-            .collect();
+    /// Those of `ids` whose sample of this period satisfies `c`, in
+    /// `(CpuLoad1, NodeId)` order.
+    fn ranked(&self, ids: &[NodeId], c: Option<&JsConstraints>) -> Vec<NodeId> {
         let mut ranked: Vec<(f64, NodeId)> = Vec::new();
-        for &id in &free {
+        for &id in ids {
             let snap = self.samples.of(id);
             if c.is_none_or(|c| c.holds(snap)) {
                 ranked.push((snap.num(SysParam::CpuLoad1).unwrap_or(f64::MAX), id));
             }
         }
+        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        ranked.into_iter().map(|(_, id)| id).collect()
+    }
+
+    /// Allocation: the `n` lowest-ranked free machines that satisfy `c`.
+    fn pick(&self, n: usize, c: Option<&JsConstraints>) -> Result<Vec<NodeId>, VdaError> {
+        let free: Vec<NodeId> = (self.pool.ids().into_iter())
+            .filter(|id| !self.failed.contains(id) && self.live_on(*id) == 0)
+            .collect();
+        let ranked = self.ranked(&free, c);
         if ranked.len() < n {
             let available = ranked.len();
             return Err(if c.is_some() && free.len() >= n {
@@ -128,8 +159,16 @@ impl Model {
                 }
             });
         }
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        Ok(ranked.into_iter().take(n).map(|(_, id)| id).collect())
+        Ok(ranked.into_iter().take(n).collect())
+    }
+
+    /// Object placement: the lowest-ranked candidate that is in the pool,
+    /// alive and satisfies `c` — allocated or not.
+    fn least_loaded(&self, candidates: &[NodeId], c: Option<&JsConstraints>) -> Option<NodeId> {
+        let live: Vec<NodeId> = (candidates.iter().copied())
+            .filter(|id| self.pool.contains(*id) && !self.failed.contains(id))
+            .collect();
+        self.ranked(&live, c).first().copied()
     }
 
     /// Books `by` more (or fewer) live nodes on each of `ids`.
@@ -143,22 +182,34 @@ impl Model {
     }
 }
 
-/// The model's fresh samples: `pool.snapshot_of`, taken once per machine and
-/// load. On the frozen clock a sample changes only when the stream changes
-/// the machine's load, which drops the entry (`changed`); a debug-build
-/// snapshot costs ~50 µs, and the model would take some 30,000.
+/// The period's samples: `pool.snapshot_of`, taken when a machine is first
+/// seen (boot, join) and again when the window lapses if the stream changed
+/// its load meanwhile (`changed`). On the frozen clock nothing else moves a
+/// sample; a debug-build snapshot costs ~50 µs, and sampling per query the
+/// model would take some 30,000.
 struct Samples {
     pool: ResourcePool,
     taken: HashMap<NodeId, SysSnapshot>,
+    /// Machines whose load changed since their sample was taken.
+    stale: HashSet<NodeId>,
 }
 
 impl Samples {
-    fn of(&mut self, id: NodeId) -> &SysSnapshot {
-        let pool = &self.pool;
-        (self.taken.entry(id)).or_insert_with(|| pool.snapshot_of(id).unwrap())
+    fn take(&mut self, id: NodeId) {
+        if let Ok(snap) = self.pool.snapshot_of(id) {
+            self.taken.insert(id, snap);
+        }
+    }
+    fn of(&self, id: NodeId) -> &SysSnapshot {
+        &self.taken[&id]
     }
     fn changed(&mut self, id: NodeId) {
-        self.taken.remove(&id);
+        self.stale.insert(id);
+    }
+    fn lapse(&mut self) {
+        for id in std::mem::take(&mut self.stale) {
+            self.take(id);
+        }
     }
 }
 
@@ -273,15 +324,22 @@ impl Run {
             ttl: TTL,
             ..PlaneConfig::default()
         });
+        let mut samples = Samples {
+            pool: pool.clone(),
+            taken: HashMap::new(),
+            stale: HashSet::new(),
+        };
+        // The first period starts here, on both sides.
+        assert_eq!(reg.least_loaded(&[], None), None);
+        for id in pool.ids() {
+            samples.take(id);
+        }
         Run {
             rng,
             clock,
             reg,
             model: Model {
-                samples: Samples {
-                    pool: pool.clone(),
-                    taken: HashMap::new(),
-                },
+                samples,
                 pool,
                 live: HashMap::new(),
                 failed: HashSet::new(),
@@ -318,6 +376,47 @@ impl Run {
         if let Ok(ids) = &want {
             self.model.book(ids, 1);
         }
+        Ok(())
+    }
+
+    /// Object placement over up to five of the machines the pool ever held —
+    /// allocated or free, sometimes none at all, and every fourth one a
+    /// failed machine, a departed one or one whose load changed this period.
+    fn place(&mut self) -> Result<(), String> {
+        let model = &self.model;
+        let odd: Vec<NodeId> = (self.names.iter().map(|(_, id)| *id))
+            .filter(|id| {
+                model.failed.contains(id)
+                    || !model.pool.contains(*id)
+                    || model.samples.stale.contains(id)
+            })
+            .collect();
+        let mut candidates = Vec::new();
+        for _ in 0..self.rng.below(6) {
+            candidates.push(if !odd.is_empty() && self.rng.below(4) == 0 {
+                odd[self.rng.below(odd.len())]
+            } else {
+                self.names[self.rng.below(self.names.len())].1
+            });
+        }
+        let c = match self.rng.below(3) {
+            0 => None,
+            1 => Some(self.constraint()),
+            // A memory floor the first candidate just meets on its sample of
+            // this period — the sharpest probe of which sample was read.
+            _ => candidates.first().map(|&id| {
+                let avail = self.model.samples.of(id).num(SysParam::AvailMem).unwrap();
+                let mut c = JsConstraints::new();
+                c.set(SysParam::AvailMem, ">=", avail - 1.0);
+                c
+            }),
+        };
+        let got = self.reg.least_loaded(&candidates, c.as_ref());
+        let want = self.model.least_loaded(&candidates, c.as_ref());
+        ensure!(
+            got == want,
+            "least_loaded({candidates:?}, {c:?}): registry {got:?}, model {want:?}"
+        );
         Ok(())
     }
 
@@ -427,12 +526,17 @@ impl Run {
                 if self.model.pool.len() < 24 {
                     let name = format!("m{}", self.names.len());
                     let joined = machine(&name, 10 * self.rng.below(10), &self.clock);
-                    self.names.push((name, self.model.pool.add_machine(joined)));
+                    let id = self.model.pool.add_machine(joined);
+                    self.model.samples.take(id);
+                    self.names.push((name, id));
                 }
+                // The next query sweeps the newcomer in (and the leaver out)
+                // mid-period; everyone else keeps the sample they have.
+                self.place()?;
             }
             15 => {
                 // A load change the registry may only see once the window
-                // has lapsed.
+                // has lapsed — now, or at some later lapse.
                 let ids = self.model.pool.ids();
                 let id = ids[self.rng.below(ids.len())];
                 let m = self.model.pool.machine(id).unwrap();
@@ -445,8 +549,12 @@ impl Run {
                     }
                 }
                 self.model.samples.changed(id);
-                lapse(&self.reg);
+                if self.rng.below(2) == 0 {
+                    lapse(&self.reg);
+                    self.model.samples.lapse();
+                }
             }
+            16 | 17 => self.place()?,
             _ => {
                 let c = (self.rng.below(2) == 0).then(|| self.constraint());
                 let got = match &c {
@@ -545,12 +653,19 @@ fn a_load_change_shows_after_the_window_lapses() {
     reg.set_plane_ttl(TTL);
     let cluster = reg.request_cluster(3, None).unwrap();
     let before = avail(&cluster);
+    // Three equal machines: `before` is each one's free memory too.
+    let mut roomy = JsConstraints::new();
+    roomy.set(SysParam::AvailMem, ">=", before - 1.0);
+    let place = || reg.least_loaded(&cluster.machines(), Some(&roomy));
     pool.machine(NodeId(0)).unwrap().add_runtime_bytes(30 * MB);
-    // Inside the window the component reads this period's samples...
+    // Inside the window the component, and object placement, read this
+    // period's samples...
     assert_eq!(avail(&cluster), before);
+    assert_eq!(place(), Some(NodeId(0)));
     // ...and the next period's after it: 30 MB over three machines.
     lapse(&reg);
     assert!((before - avail(&cluster) - 10.0).abs() < 1e-6);
+    assert_eq!(place(), Some(NodeId(1)));
     // `ttl: 0.0` needs no lapse: every query samples, through the same code.
     reg.set_plane_ttl(0.0);
     pool.machine(NodeId(1)).unwrap().add_runtime_bytes(30 * MB);
