@@ -22,14 +22,13 @@
 //!   cargo run --release -p jsym-bench --bin ablate_affinity -- --quick   # smoke
 //!   (--executor N sizes the executor; default: `JsShell`'s)
 
-use jsym_bench::write_json;
+use jsym_bench::{json_row, write_json};
 use jsym_core::testkit::register_test_classes;
 use jsym_core::{
     encode_state, AffinityConfig, Deployment, InvokeCtx, JsClass, JsError, JsObj, JsShell,
     MachineConfig, Placement, Value,
 };
 use jsym_net::{LinkClass, NodeId};
-use serde::Serialize;
 
 /// Nested calls per `drive` request to a dominant target (9:1 skew against
 /// [`MINORITY_REPS`], scaled up so targets cross the hotness floor while
@@ -84,7 +83,6 @@ impl JsClass for Driver {
     }
 }
 
-#[derive(Serialize)]
 struct Row {
     /// Affinity-guided re-placement on?
     placement: bool,
@@ -103,6 +101,16 @@ struct Row {
     /// `lease_local_reads / dir_reads` (0 when no reads).
     lease_ratio: f64,
 }
+json_row!(Row {
+    placement,
+    leases,
+    virt_seconds,
+    calls,
+    affinity_migrations,
+    dir_reads,
+    lease_local_reads,
+    lease_ratio,
+});
 
 struct Scenario {
     nodes: usize,

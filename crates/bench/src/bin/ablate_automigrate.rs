@@ -7,20 +7,24 @@
 //! we measure how long the system takes to return to a constraint-clean
 //! placement for several auto-migration check periods.
 
-use jsym_bench::write_json;
+use jsym_bench::{json_row, write_json};
 use jsym_core::testkit::register_test_classes;
 use jsym_core::{JsObj, JsShell, MachineConfig, Placement, Value};
 use jsym_net::LinkClass;
 use jsym_sysmon::{JsConstraints, LoadModel, LoadProfile, MachineSpec, SysParam};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     check_period: f64,
     objects: usize,
     rebalance_virt_seconds: f64,
     all_escaped: bool,
 }
+json_row!(Row {
+    check_period,
+    objects,
+    rebalance_virt_seconds,
+    all_escaped
+});
 
 const SPIKE_AT: f64 = 100.0;
 

@@ -18,16 +18,14 @@
 //!   cargo run --release -p jsym-bench --bin ablate_batch -- --quick  # smoke
 //!   cargo run --release -p jsym-bench --bin ablate_batch -- --quick --unbatched-only
 
-use jsym_bench::write_json;
+use jsym_bench::{json_row, write_json};
 use jsym_cluster::catalog::{testbed_machines, LoadKind};
 use jsym_cluster::jacobi::{register_jacobi_classes, run_jacobi};
 use jsym_cluster::matmul::{register_matmul_classes, run_collective, MatmulConfig};
 use jsym_col::{partition_weighted, register_col_classes, DistCol};
 use jsym_core::{Deployment, JsShell};
 use jsym_net::BatchConfig;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     workload: String,
     batched: bool,
@@ -46,6 +44,20 @@ struct Row {
     bytes_saved: u64,
     mean_batch_size: f64,
 }
+json_row!(Row {
+    workload,
+    batched,
+    adaptive,
+    flush_window,
+    max_bytes,
+    virt_seconds,
+    messages,
+    coalesced,
+    flushed,
+    batched_msgs,
+    bytes_saved,
+    mean_batch_size,
+});
 
 fn deployment(nodes: usize, batching: Option<BatchConfig>, scale: f64) -> Deployment {
     let mut shell = JsShell::new()
@@ -129,7 +141,6 @@ fn main() {
                     flush_window: w,
                     max_bytes: s,
                     adaptive: false,
-                    compression: 1.0,
                 }));
             }
         }
@@ -141,7 +152,6 @@ fn main() {
                 flush_window: w,
                 max_bytes: s,
                 adaptive: true,
-                compression: 1.0,
             }));
         }
     }

@@ -6,12 +6,10 @@
 //! paper's claim: "This feature can reduce the overall memory requirement
 //! of an application."
 
-use jsym_bench::write_json;
+use jsym_bench::{json_row, write_json};
 use jsym_cluster::catalog::{testbed_machines, LoadKind};
 use jsym_core::JsShell;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     strategy: String,
     artifacts: usize,
@@ -20,6 +18,14 @@ struct Row {
     total_resident_bytes: u64,
     load_virt_seconds: f64,
 }
+json_row!(Row {
+    strategy,
+    artifacts,
+    nodes,
+    bytes_shipped,
+    total_resident_bytes,
+    load_virt_seconds,
+});
 
 const ARTIFACTS: usize = 16;
 const ARTIFACT_BYTES: usize = 250_000;

@@ -20,13 +20,11 @@
 //! When the killed manager hosted a directory replica, the row records how
 //! long the surviving replicas took to present a leader again.
 
-use jsym_bench::write_json;
+use jsym_bench::{json_row, write_json};
 use jsym_core::testkit::{register_test_classes, shell_with_idle_machines};
 use jsym_core::{JsObj, Placement, Value};
 use jsym_net::NodeId;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     monitor_period: f64,
     failure_timeout: f64,
@@ -37,6 +35,16 @@ struct Row {
     misrouted_rmis: u64,
     dir_reelection_virt_seconds: Option<f64>,
 }
+json_row!(Row {
+    monitor_period,
+    failure_timeout,
+    directory_replicas,
+    detection_virt_seconds,
+    backup_took_over,
+    probes,
+    misrouted_rmis,
+    dir_reelection_virt_seconds,
+});
 
 fn run(period: f64, replicas: u32) -> Row {
     let timeout = period * 3.0;

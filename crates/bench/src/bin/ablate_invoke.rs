@@ -5,19 +5,23 @@
 //! `ainvoke`: "overlapping of waiting time ... with some useful local
 //! computations"), and (c) the cost of a one-sided stream.
 
-use jsym_bench::write_json;
+use jsym_bench::{json_row, write_json};
 use jsym_core::testkit::{register_test_classes, shell_with_idle_machines};
 use jsym_core::{JsObj, Placement, Value};
 use jsym_net::NodeId;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     mode: String,
     payload_bytes: usize,
     virt_seconds: f64,
     note: String,
 }
+json_row!(Row {
+    mode,
+    payload_bytes,
+    virt_seconds,
+    note
+});
 
 fn main() {
     // Five idle 50 Mflop/s machines, 100x faster than real time: one

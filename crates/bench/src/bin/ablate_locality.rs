@@ -8,21 +8,24 @@
 //! WAN — neighbour exchange is exactly the pattern the paper says should be
 //! co-located.
 
-use jsym_bench::write_json;
+use jsym_bench::{json_row, write_json};
 use jsym_cluster::jacobi::{register_jacobi_classes, run_jacobi};
 use jsym_cluster::pipeline::{
     register_pipeline_classes, PIPELINE_ARTIFACT, PIPELINE_ARTIFACT_BYTES,
 };
 use jsym_core::{Deployment, JsObj, JsShell, MachineConfig, Placement, Value};
 use jsym_net::{LinkClass, NodeId};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     workload: String,
     mapping: String,
     virt_seconds: f64,
 }
+json_row!(Row {
+    workload,
+    mapping,
+    virt_seconds
+});
 
 fn two_site_deployment() -> Deployment {
     let mut shell = JsShell::new().time_scale(2e-3);

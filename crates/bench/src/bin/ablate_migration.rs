@@ -6,15 +6,13 @@
 //! transfer itself, so time should grow linearly in state size with a slope
 //! set by the link.
 
-use jsym_bench::write_json;
+use jsym_bench::{json_row, write_json};
 use jsym_core::testkit::register_test_classes;
 use jsym_core::{
     Deployment, JsObj, JsShell, MachineConfig, MigrateTarget, Placement, RuntimeEvent, Value,
 };
 use jsym_net::{LinkClass, NodeId};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     /// Bytes the object holds (the `Blob` constructor argument).
     state_bytes: usize,
@@ -23,6 +21,12 @@ struct Row {
     link: String,
     virt_seconds: f64,
 }
+json_row!(Row {
+    state_bytes,
+    shipped_bytes,
+    link,
+    virt_seconds
+});
 
 /// `state_bytes` of the most recent `Migrated` event.
 fn last_shipped(d: &Deployment) -> usize {

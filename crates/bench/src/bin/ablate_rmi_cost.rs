@@ -7,13 +7,11 @@
 //! heterogeneity remain). What survives with free RMI is the straggler and
 //! slow-segment contribution.
 
-use jsym_bench::{write_json, write_raw_json};
+use jsym_bench::{json_row, write_json};
 use jsym_cluster::catalog::{testbed_machines, LoadKind};
 use jsym_cluster::matmul::{register_matmul_classes, run_master_slave, MatmulConfig};
 use jsym_core::{CostModel, JsShell};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     n: usize,
     nodes: usize,
@@ -25,6 +23,14 @@ struct Row {
     /// summed from the per-call span-derived histograms.
     rmi_caller_seconds: f64,
 }
+json_row!(Row {
+    n,
+    nodes,
+    cost_model,
+    virt_seconds,
+    rmi_calls,
+    rmi_caller_seconds
+});
 
 fn run(n: usize, nodes: usize, cost: CostModel, label: &str) -> Row {
     let d = JsShell::new()
@@ -37,16 +43,6 @@ fn run(n: usize, nodes: usize, cost: CostModel, label: &str) -> Row {
     let cfg = MatmulConfig::new(n).without_verification();
     let report = run_master_slave(&d, &cluster, &cfg).unwrap();
     let snap = d.obs().snapshot();
-    // Per-cell metrics artifact (spans stripped: the caller-latency
-    // histograms carry the span-derived timing this experiment needs).
-    {
-        let mut metrics_only = snap.clone();
-        metrics_only.spans.clear();
-        let name = format!("ablate_rmi_cost_obs_{nodes}_{label}");
-        if let Ok(path) = write_raw_json(&name, &metrics_only.to_json()) {
-            eprintln!("wrote {}", path.display());
-        }
-    }
     d.shutdown();
     Row {
         n,

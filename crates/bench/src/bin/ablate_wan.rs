@@ -8,20 +8,24 @@
 //! machines contribute far less than their flops — quantifying how much
 //! locality-aware decomposition (one master per site) would matter.
 
-use jsym_bench::write_json;
+use jsym_bench::{json_row, write_json};
 use jsym_cluster::catalog::{testbed_machines, LoadKind};
 use jsym_cluster::matmul::{register_matmul_classes, run_master_slave, MatmulConfig};
 use jsym_core::JsShell;
 use jsym_net::LinkClass;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     topology: String,
     nodes: usize,
     virt_seconds: f64,
     setup_seconds: f64,
 }
+json_row!(Row {
+    topology,
+    nodes,
+    virt_seconds,
+    setup_seconds
+});
 
 fn run(nodes: usize, wan_split: Option<usize>) -> Row {
     let d = JsShell::new()

@@ -10,13 +10,11 @@
 //!   cargo run --release -p jsym-bench --bin fig5            # full sweep
 //!   cargo run --release -p jsym-bench --bin fig5 -- --quick # smoke sweep
 
-use jsym_bench::{percentile, write_json};
+use jsym_bench::{json_row, percentile, write_json};
 use jsym_cluster::fig5::{run_fig5_instrumented, Fig5Config, Fig5Kernel, Fig5Row};
 use jsym_core::obs::{HistogramSnapshot, MetricsSnapshot};
-use serde::Serialize;
 
 /// What one cell's deployment metrics say about its RMI traffic.
-#[derive(Serialize)]
 struct ObsRow {
     n: usize,
     nodes: usize,
@@ -31,6 +29,16 @@ struct ObsRow {
     bytes: u64,
     messages: u64,
 }
+json_row!(ObsRow {
+    n,
+    nodes,
+    load,
+    rmi_calls,
+    caller_p50_s,
+    caller_p99_s,
+    bytes,
+    messages
+});
 
 fn obs_row(row: &Fig5Row, metrics: &MetricsSnapshot) -> ObsRow {
     let mut caller = HistogramSnapshot::empty();

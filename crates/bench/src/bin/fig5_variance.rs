@@ -3,12 +3,10 @@
 //! (once per regime) with whatever load the office happened to produce; this
 //! quantifies how much our synthetic day/night streams move the curves.
 
-use jsym_bench::write_json;
+use jsym_bench::{json_row, write_json};
 use jsym_cluster::catalog::LoadKind;
 use jsym_cluster::fig5::run_cell;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Row {
     n: usize,
     nodes: usize,
@@ -18,6 +16,15 @@ struct Row {
     max_seconds: f64,
     spread_pct: f64,
 }
+json_row!(Row {
+    n,
+    nodes,
+    load,
+    mean_seconds,
+    min_seconds,
+    max_seconds,
+    spread_pct
+});
 
 fn main() {
     const N: usize = 600;

@@ -1,23 +1,32 @@
-//! # jsym-bench — the evaluation harness
+//! # jsym-bench — the paper's experiments, in virtual time
 //!
 //! Regenerates the paper's evaluation (Figure 5 — the only measured result
-//! in the paper) and a set of ablation experiments for the design choices
-//! DESIGN.md calls out. Each experiment is a binary printing the series the
-//! paper (or EXPERIMENTS.md) reports, plus machine-readable JSON:
+//! in the paper) and the ablation experiments for the design choices
+//! DESIGN.md calls out. Every number a bin here reports is a **virtual
+//! second or a modeled count** (messages, bytes, migrations): nothing under
+//! `src/` reads the wall clock. Wall-clock numbers come from `perf/` only
+//! (`BENCHMARK.json`, the root `BENCH_<pr>.json` files).
 //!
-//! * `fig5` — execution time vs. nodes for several N, day and night;
+//! Each experiment is a binary printing the series the paper (or
+//! EXPERIMENTS.md) reports, plus machine-readable JSON in `bench_results/`:
+//!
+//! * `fig5`, `fig5_variance` — execution time vs. nodes for several N, day
+//!   and night, and its spread over seeds;
 //! * `ablate_invoke` — sinvoke/ainvoke/oinvoke latency and overlap (E1);
 //! * `ablate_migration` — migration cost vs. object state size (E2);
 //! * `ablate_codebase` — selective vs. full classloading (E3);
 //! * `ablate_automigrate` — constraint-driven rebalancing (E4);
-//! * `ablate_failover` — manager failover latency vs. heartbeat period (E5).
+//! * `ablate_failover` — manager failover latency vs. heartbeat period (E5);
+//! * `ablate_locality`, `ablate_rmi_cost`, `ablate_wan`, `ablate_batch`,
+//!   `ablate_affinity` — E7, E8, E9, E11, E13.
 //!
-//! Criterion micro-benches (`cargo bench`) cover the same mechanisms at
-//! statistical depth on small deployments.
+//! Rows are written through [`jsym_core::obs::json`], the workspace's one
+//! JSON writer; [`json_row!`] gives a row struct its field list.
 
-use serde::Serialize;
+use jsym_cluster::fig5::Fig5Row;
+pub use jsym_core::obs::json::ToJson;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Where experiment outputs are written (`bench_results/` at the workspace
 /// root, or `$JSYM_BENCH_DIR`).
@@ -29,27 +38,57 @@ pub fn results_dir() -> PathBuf {
     PathBuf::from(dir)
 }
 
-/// Serializes `rows` as JSON into `bench_results/<name>.json`.
-pub fn write_json<T: Serialize>(name: &str, rows: &[T]) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let mut f = std::fs::File::create(&path)?;
-    let json = serde_json::to_string_pretty(rows).expect("serialize rows");
-    f.write_all(json.as_bytes())?;
-    f.write_all(b"\n")?;
-    Ok(path)
+/// One record of an experiment's JSON artifact: its fields, in the order
+/// they are written, each with its JSON text. [`json_row!`] implements it.
+pub trait JsonRow {
+    /// `(key, JSON text)` per field.
+    fn fields(&self) -> Vec<(&'static str, String)>;
 }
 
-/// Writes a pre-rendered JSON string into `bench_results/<name>.json` — for
-/// exports that serialize themselves, e.g. `jsym-obs` snapshots.
-pub fn write_raw_json(name: &str, json: &str) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
+/// Implements [`JsonRow`] for a plain struct from its field list; the
+/// artifact's key order is the order given here.
+///
+/// ```
+/// struct Row {
+///     nodes: usize,
+///     virt_seconds: f64,
+/// }
+/// jsym_bench::json_row!(Row { nodes, virt_seconds });
+/// ```
+#[macro_export]
+macro_rules! json_row {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::JsonRow for $ty {
+            fn fields(&self) -> Vec<(&'static str, String)> {
+                vec![$( (stringify!($field), $crate::ToJson::to_json(&self.$field)), )*]
+            }
+        }
+    };
+}
+
+// `fig5`'s rows are the library's own type; the impl has to live beside the trait.
+json_row!(Fig5Row {
+    n,
+    nodes,
+    load,
+    seconds,
+    speedup,
+    efficiency,
+    messages,
+    kernel
+});
+
+/// Writes `rows` as a JSON array into `bench_results/<name>.json`.
+pub fn write_json<T: JsonRow>(name: &str, rows: &[T]) -> std::io::Result<PathBuf> {
+    write_json_in(&results_dir(), name, rows)
+}
+
+/// As [`write_json`], into `dir`.
+pub fn write_json_in<T: JsonRow>(dir: &Path, name: &str, rows: &[T]) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(json.as_bytes())?;
-    f.write_all(b"\n")?;
+    let rows: Vec<_> = rows.iter().map(JsonRow::fields).collect();
+    std::fs::write(&path, jsym_core::obs::json::rows_to_json(&rows) + "\n")?;
     Ok(path)
 }
 
@@ -110,6 +149,12 @@ pub fn write_csv<T>(
 mod tests {
     use super::*;
 
+    struct Row {
+        x: u32,
+        label: String,
+    }
+    json_row!(Row { x, label });
+
     #[test]
     fn results_dir_respects_env() {
         // Not setting the env var here (tests run in parallel); just check
@@ -120,30 +165,24 @@ mod tests {
 
     #[test]
     fn write_json_round_trips() {
-        #[derive(serde::Serialize)]
-        struct Row {
-            x: u32,
-        }
-        std::env::set_var(
-            "JSYM_BENCH_DIR",
-            std::env::temp_dir().join("jsym-bench-test"),
-        );
-        let path = write_json("unit-test", &[Row { x: 1 }, Row { x: 2 }]).unwrap();
+        let dir = std::env::temp_dir().join(format!("jsym-bench-test-{}", std::process::id()));
+        let rows = [
+            Row {
+                x: 1,
+                label: "a".into(),
+            },
+            Row {
+                x: 2,
+                label: "b\"c".into(),
+            },
+        ];
+        let path = write_json_in(&dir, "unit-test", &rows).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"x\": 2"));
-        std::env::remove_var("JSYM_BENCH_DIR");
-    }
-
-    #[test]
-    fn write_raw_json_passes_content_through() {
-        std::env::set_var(
-            "JSYM_BENCH_DIR",
-            std::env::temp_dir().join("jsym-bench-test-raw"),
+        assert_eq!(
+            text,
+            "[\n  {\n    \"x\": 1,\n    \"label\": \"a\"\n  },\n  {\n    \"x\": 2,\n    \"label\": \"b\\\"c\"\n  }\n]\n"
         );
-        let path = write_raw_json("unit-test-raw", "{\"k\": 1}").unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "{\"k\": 1}\n");
-        std::env::remove_var("JSYM_BENCH_DIR");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

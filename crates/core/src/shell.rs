@@ -277,30 +277,7 @@ impl JsShell {
             flush_window: flush_window.max(0.0),
             max_bytes: max_bytes.max(1),
             adaptive: true,
-            ..jsym_net::BatchConfig::default()
         });
-        self
-    }
-
-    /// Sets the modeled compression ratio for multi-message RMI batches
-    /// (see [`jsym_net::BatchConfig::compression`]): coalesced batches are
-    /// charged `ceil(bytes × ratio)` wire bytes for transfer time and the
-    /// `max_bytes` overflow check, reflecting how well the shared headers
-    /// and similar small payloads of coalesced RMIs compress. `1.0`
-    /// disables compression (byte-identical accounting); applies on top of
-    /// [`JsShell::rmi_batching`] / [`JsShell::rmi_batching_adaptive`], or
-    /// enables batching with default tunables if neither was called.
-    pub fn rmi_batching_compression(mut self, ratio: f64) -> Self {
-        let ratio = ratio.clamp(0.01, 1.0);
-        match &mut self.rmi_batching {
-            Some(c) => c.compression = ratio,
-            None => {
-                self.rmi_batching = Some(jsym_net::BatchConfig {
-                    compression: ratio,
-                    ..jsym_net::BatchConfig::default()
-                })
-            }
-        }
         self
     }
 

@@ -88,15 +88,6 @@ pub struct BatchConfig {
     /// immediately (they re-coalesce on the next burst anyway) while sparse
     /// pairs keep the full window. `flush_window` becomes the ceiling.
     pub adaptive: bool,
-    /// Modeled compression ratio applied to multi-message batches: a batch
-    /// of `n > 1` coalesced RMIs (shared headers, similar small payloads)
-    /// is charged `ceil(bytes × compression)` wire bytes for its transfer
-    /// time and its `max_bytes` overflow check. Lone messages are never
-    /// compressed (framing overhead would dominate). `1.0` — the default —
-    /// disables compression and is byte-identical to the pre-compression
-    /// accounting; per-member stats attribution always keeps the
-    /// uncompressed sizes.
-    pub compression: f64,
 }
 
 impl Default for BatchConfig {
@@ -105,7 +96,6 @@ impl Default for BatchConfig {
             flush_window: 5e-4,
             max_bytes: 256 * 1024,
             adaptive: false,
-            compression: 1.0,
         }
     }
 }
@@ -393,17 +383,6 @@ impl BatchStage {
     /// Observes one send on `pair` at virtual time `now` and returns the
     /// flush window a batch opened by it should wait: `2 × ewma` of the
     /// pair's inter-send gaps, clamped to `[flush_window/16, flush_window]`.
-    /// Modeled wire bytes a batch of `n` messages totalling `bytes` payload
-    /// bytes occupies: multi-message batches compress at the configured
-    /// ratio, lone messages go out as-is.
-    fn charged_bytes(&self, n: usize, bytes: usize) -> usize {
-        if n > 1 && self.config.compression < 1.0 {
-            (bytes as f64 * self.config.compression).ceil() as usize
-        } else {
-            bytes
-        }
-    }
-
     /// A pair's first send (no gap yet) gets the full window.
     fn adaptive_window(&self, pair: (NodeId, NodeId), now: f64) -> f64 {
         let full = self.config.flush_window;
@@ -454,10 +433,7 @@ impl BatchStage {
                         .counter("net.batch.coalesced", Some(pair.0 .0), "")
                         .inc();
                 }
-                // Overflow is judged on the modeled wire size, so a
-                // compressing batch can coalesce proportionally more
-                // payload before an eager flush.
-                if self.charged_bytes(batch.envs.len(), batch.bytes) >= self.config.max_bytes {
+                if batch.bytes >= self.config.max_bytes {
                     self.open_batches.fetch_sub(1, Ordering::Relaxed);
                     self.transmit(&mut pending, pair, batch, "bytes");
                 } else {
@@ -546,13 +522,10 @@ impl BatchStage {
         let key = pair_key(src, dst);
         let now = self.clock.now();
         let n = batch.envs.len();
-        // Transfer time is paid on the modeled (possibly compressed) wire
-        // size; per-member stats attribution keeps uncompressed sizes.
-        let charged = self.charged_bytes(n, batch.bytes);
         let (link, latency, tx_time) = {
             let topo = self.topo.read();
             let link = topo.link_between(src, dst);
-            (link, link.latency(), link.transfer_time(charged))
+            (link, link.latency(), link.transfer_time(batch.bytes))
         };
         // Same reservation discipline as the unbatched path in
         // `Network::send`, applied once for the whole batch.
@@ -579,11 +552,6 @@ impl BatchStage {
             let obs = &self.routing.obs;
             obs.counter("net.batch.flushed", Some(src.0), reason).inc();
             obs.counter("net.batch.msgs", Some(src.0), "").add(n as u64);
-            if charged < batch.bytes {
-                // Modeled post-compression wire bytes actually charged.
-                obs.counter("net.batch.compressed_bytes", Some(src.0), "")
-                    .add(charged as u64);
-            }
             if n > 1 {
                 // Modeled wire capacity freed: every coalesced follower
                 // skips one link-latency charge, i.e. `latency × bandwidth`
@@ -1586,7 +1554,6 @@ mod batched_tests {
                 flush_window: 1.0,
                 max_bytes: 1 << 20,
                 adaptive: true,
-                compression: 1.0,
             },
             jsym_obs::ObsRegistry::disabled(),
         );
@@ -1617,7 +1584,6 @@ mod batched_tests {
                 flush_window: 50.0,
                 max_bytes: 1 << 20,
                 adaptive: true,
-                compression: 1.0,
             },
             jsym_obs::ObsRegistry::disabled(),
         );
@@ -1673,7 +1639,6 @@ mod batched_tests {
                 flush_window: 50.0,
                 max_bytes: 1 << 20,
                 adaptive: false,
-                compression: 1.0,
             },
             obs.clone(),
         );
@@ -1713,7 +1678,6 @@ mod batched_tests {
                 flush_window: 1e9,
                 max_bytes: 256,
                 adaptive: false,
-                compression: 1.0,
             },
             obs.clone(),
         );
@@ -1735,58 +1699,12 @@ mod batched_tests {
     }
 
     #[test]
-    fn compression_stretches_overflow_and_counts_charged_bytes() {
-        let obs = jsym_obs::ObsRegistry::new();
-        // Uncompressed, three 100-byte messages overflow max_bytes = 256
-        // (see the test above). At ratio 0.5 the modeled wire size only
-        // crosses 256 at six messages — the batch must keep coalescing
-        // until then (the window is hours of real time, so only the
-        // overflow path can deliver within the recv timeout).
-        let net = batched_net(
-            BatchConfig {
-                flush_window: 1e9,
-                max_bytes: 256,
-                adaptive: false,
-                compression: 0.5,
-            },
-            obs.clone(),
-        );
-        let _a = net.register(NodeId(0));
-        let b = net.register(NodeId(1));
-        for i in 0..6u32 {
-            net.send(NodeId(0), NodeId(1), Payload::new("seq", 100, i))
-                .unwrap();
-        }
-        for i in 0..6u32 {
-            let env = b.recv_timeout(Duration::from_secs(5)).unwrap();
-            // Member envelopes keep their uncompressed declared sizes.
-            assert_eq!(env.payload.wire_bytes(), 100);
-            assert_eq!(*env.payload.downcast::<u32>().unwrap(), i);
-        }
-        let snap = obs.snapshot();
-        assert_eq!(
-            snap.metrics.counters[&jsym_obs::MetricKey::new("net.batch.flushed", Some(0), "bytes")],
-            1,
-            "one overflow flush of all six members"
-        );
-        assert_eq!(snap.metrics.counter_total("net.batch.msgs"), 6);
-        // Modeled post-compression wire bytes: 600 payload bytes at 0.5.
-        assert_eq!(
-            snap.metrics.counter_total("net.batch.compressed_bytes"),
-            300
-        );
-        // Stats attribution stays uncompressed.
-        assert_eq!(net.stats().bytes_sent, 600);
-    }
-
-    #[test]
     fn oversized_lone_message_skips_the_window() {
         let net = batched_net(
             BatchConfig {
                 flush_window: 1e9,
                 max_bytes: 256,
                 adaptive: false,
-                compression: 1.0,
             },
             jsym_obs::ObsRegistry::disabled(),
         );
@@ -1806,7 +1724,6 @@ mod batched_tests {
                 flush_window: 20.0,
                 max_bytes: 1 << 20,
                 adaptive: false,
-                compression: 1.0,
             },
             jsym_obs::ObsRegistry::disabled(),
         );
@@ -1876,7 +1793,6 @@ mod batched_tests {
                 flush_window: 50.0,
                 max_bytes: 1 << 20,
                 adaptive: false,
-                compression: 1.0,
             })),
             run(None)
         );
@@ -1890,7 +1806,6 @@ mod batched_tests {
                 flush_window: 100.0,
                 max_bytes: 1 << 20,
                 adaptive: false,
-                compression: 1.0,
             },
             jsym_obs::ObsRegistry::disabled(),
         );

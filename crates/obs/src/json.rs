@@ -2,7 +2,8 @@
 //!
 //! Serialization is written by hand (rather than via serde) to keep this
 //! crate dependency-free; the output is plain JSON that `serde_json` in the
-//! integration suite parses and validates.
+//! integration suite parses and validates. [`ToJson`] and [`rows_to_json`] are
+//! the same writer for callers that build their own rows (`jsym-bench`).
 
 use std::fmt::Write as _;
 
@@ -39,6 +40,59 @@ fn num(v: f64) -> String {
     } else {
         "null".to_owned()
     }
+}
+
+/// A scalar that writes itself as JSON text: what a crate without `serde`
+/// builds its rows from (see [`rows_to_json`]).
+pub trait ToJson {
+    /// This value as JSON text.
+    fn to_json(&self) -> String;
+}
+
+macro_rules! display_is_json {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> String {
+                self.to_string()
+            }
+        }
+    )*};
+}
+display_is_json!(bool, u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+impl ToJson for f64 {
+    fn to_json(&self) -> String {
+        num(*self)
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> String {
+        format!("\"{}\"", escape(self))
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> String {
+        self.as_ref().map_or_else(|| "null".to_owned(), T::to_json)
+    }
+}
+
+/// An array of flat objects, one per row: each field is a key and its
+/// [`ToJson`] text, written in the order given, indented two spaces per
+/// level, no trailing newline.
+pub fn rows_to_json(rows: &[Vec<(&str, String)>]) -> String {
+    let mut out = String::from("[");
+    for (i, row) in rows.iter().enumerate() {
+        out.push_str(if i > 0 { ",\n  {" } else { "\n  {" });
+        for (j, (key, value)) in row.iter().enumerate() {
+            let sep = if j > 0 { "," } else { "" };
+            let _ = write!(out, "{sep}\n    \"{}\": {value}", escape(key));
+        }
+        out.push_str("\n  }");
+    }
+    out.push_str(if rows.is_empty() { "]" } else { "\n]" });
+    out
 }
 
 fn key_fields(out: &mut String, key: &MetricKey) {
@@ -238,6 +292,22 @@ mod tests {
         assert_eq!(num(f64::NAN), "null");
         assert_eq!(num(f64::INFINITY), "null");
         assert_eq!(num(1.5), "1.5");
+    }
+
+    #[test]
+    fn rows_keep_field_order_and_escape_keys_and_strings() {
+        let row = vec![
+            ("b", 7u64.to_json()),
+            ("a\"", "x\"y".to_owned().to_json()),
+            ("nan", Some(f64::NAN).to_json()),
+            ("none", None::<f64>.to_json()),
+            ("t", true.to_json()),
+        ];
+        assert_eq!(
+            rows_to_json(&[row, vec![("max", u64::MAX.to_json())]]),
+            "[\n  {\n    \"b\": 7,\n    \"a\\\"\": \"x\\\"y\",\n    \"nan\": null,\n    \"none\": null,\n    \"t\": true\n  },\n  {\n    \"max\": 18446744073709551615\n  }\n]"
+        );
+        assert_eq!(rows_to_json(&[]), "[]");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 #![warn(missing_docs)]
 
-mod json;
+pub mod json;
 mod metrics;
 mod trace;
 

@@ -454,13 +454,6 @@ impl ShellSession {
                     "coalesced followers: {coalesced}; mean batch size: {mean:.2}"
                 );
                 let _ = writeln!(out, "modeled wire capacity freed: {saved} bytes");
-                let compressed = snap.metrics.counter_total("net.batch.compressed_bytes");
-                if compressed > 0 {
-                    let _ = writeln!(
-                        out,
-                        "compressed batch payload charged to the wire: {compressed} bytes"
-                    );
-                }
                 let open: f64 = snap
                     .metrics
                     .gauges

@@ -1,9 +1,11 @@
-//! Workspace test guarding the Figure 5 reproduction's *shape* (the
-//! acceptance criteria in DESIGN.md §4). Uses a reduced sweep so the test
-//! stays in CI budget; the full sweep lives in `jsym-bench --bin fig5`.
+//! Workspace test guarding the *shape* claims of the experiments: the
+//! Figure 5 reproduction (the acceptance criteria in DESIGN.md §4, on a
+//! reduced sweep so the test stays in CI budget; the full sweep lives in
+//! `jsym-bench --bin fig5`) and E3's memory claim (`--bin ablate_codebase`).
 
-use jsym_cluster::catalog::LoadKind;
+use jsym_cluster::catalog::{testbed_machines, LoadKind};
 use jsym_cluster::fig5::run_cell;
+use jsym_core::JsShell;
 
 const SCALE: f64 = 2e-2;
 const SEED: u64 = 11;
@@ -53,4 +55,48 @@ fn sequential_baseline_tracks_problem_size_cubically() {
         (6.0..10.5).contains(&ratio),
         "2x problem size should be ~8x the work, got {ratio:.1}x"
     );
+}
+
+/// E3 (paper §4.3, "can reduce the overall memory requirement of an
+/// application"): bytes resident on the 13-machine testbed after loading 16
+/// artifacts of 250 kB everywhere, or each on the two machines that use it.
+/// Resident bytes are exact; load time and shipped bytes carry NA traffic
+/// and are not asserted.
+fn resident_bytes_after_loading(selective: bool) -> u64 {
+    const ARTIFACTS: usize = 16;
+    const ARTIFACT_BYTES: usize = 250_000;
+    let d = JsShell::new()
+        .time_scale(1e-4)
+        .add_machines(testbed_machines(13, LoadKind::Dedicated, 0))
+        .boot();
+    let reg = d.register_app().unwrap();
+    let machines = d.machines();
+    if selective {
+        for k in 0..ARTIFACTS {
+            let cb = reg.codebase();
+            cb.add(&format!("classes-{k}.jar"), ARTIFACT_BYTES);
+            cb.load_phys(machines[k % machines.len()]).unwrap();
+            cb.load_phys(machines[(k + 1) % machines.len()]).unwrap();
+        }
+    } else {
+        let cb = reg.codebase();
+        for k in 0..ARTIFACTS {
+            cb.add(&format!("classes-{k}.jar"), ARTIFACT_BYTES);
+        }
+        for &m in &machines {
+            cb.load_phys(m).unwrap();
+        }
+    }
+    let resident = machines
+        .iter()
+        .map(|&m| d.pool().machine(m).unwrap().runtime_bytes())
+        .sum();
+    d.shutdown();
+    resident
+}
+
+#[test]
+fn selective_classloading_keeps_two_copies_per_artifact_not_thirteen() {
+    assert_eq!(resident_bytes_after_loading(false), 13 * 16 * 250_000);
+    assert_eq!(resident_bytes_after_loading(true), 2 * 16 * 250_000);
 }
